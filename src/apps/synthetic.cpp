@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "prof/tracked.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -42,28 +42,16 @@ void validate_synthetic_config(const SyntheticConfig& cfg) {
               cfg.board_topology + "'");
 }
 
-ProfiledApp make_synthetic_app(const SyntheticConfig& cfg) {
+SyntheticDataflow generate_synthetic_dataflow(const SyntheticConfig& cfg) {
   validate_synthetic_config(cfg);
-  ProfiledApp app;
-  app.name = "synthetic-" + std::to_string(cfg.seed);
-  app.profiler =
-      std::make_unique<prof::QuadProfiler>(prof::ProfileMode::kDeferred);
-  prof::QuadProfiler& q = *app.profiler;
   Rng rng{cfg.seed};
-
   const std::uint32_t k = cfg.kernel_count;
-
-  // Function ids in program order: source, kernels, sink.
-  const auto fn_source = q.declare("source");
-  std::vector<prof::FunctionId> kernel_fn(k);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    kernel_fn[i] = q.declare("kernel" + std::to_string(i));
-  }
-  const auto fn_sink = q.declare("sink");
+  SyntheticDataflow flow;
+  flow.kernel_count = k;
 
   // Random DAG over kernels: edge i -> j for i < j.
-  std::vector<std::vector<std::uint64_t>> edge_bytes(
-      k, std::vector<std::uint64_t>(k, 0));
+  auto& edge_bytes = flow.edge_bytes;
+  edge_bytes.assign(k, std::vector<std::uint64_t>(k, 0));
   for (std::uint32_t i = 0; i < k; ++i) {
     for (std::uint32_t j = i + 1; j < k; ++j) {
       if (rng.chance(cfg.kernel_edge_probability)) {
@@ -75,7 +63,8 @@ ProfiledApp make_synthetic_app(const SyntheticConfig& cfg) {
 
   // Host input bytes: kernels without kernel predecessors always get host
   // input; others get some with probability 1/2.
-  std::vector<std::uint64_t> host_in(k, 0);
+  auto& host_in = flow.host_input;
+  host_in.assign(k, 0);
   for (std::uint32_t j = 0; j < k; ++j) {
     bool has_kernel_input = false;
     for (std::uint32_t i = 0; i < j; ++i) {
@@ -88,8 +77,10 @@ ProfiledApp make_synthetic_app(const SyntheticConfig& cfg) {
 
   // Output buffer of each kernel must cover its largest outgoing edge plus
   // the sink read for terminal kernels.
-  std::vector<std::uint64_t> out_size(k, 0);
-  std::vector<bool> terminal(k, true);
+  auto& out_size = flow.output_size;
+  auto& terminal = flow.terminal;
+  out_size.assign(k, 0);
+  terminal.assign(k, true);
   for (std::uint32_t i = 0; i < k; ++i) {
     for (std::uint32_t j = i + 1; j < k; ++j) {
       out_size[i] = std::max(out_size[i], edge_bytes[i][j]);
@@ -105,63 +96,21 @@ ProfiledApp make_synthetic_app(const SyntheticConfig& cfg) {
     out_size[i] = std::max<std::uint64_t>(out_size[i], 64);
   }
 
-  const std::uint64_t source_size =
-      *std::max_element(host_in.begin(), host_in.end()) + 64;
+  flow.source_size = *std::max_element(host_in.begin(), host_in.end()) + 64;
 
-  prof::TrackedBuffer<std::uint8_t> source_buf{q, "source_buf", source_size};
-  std::vector<std::unique_ptr<prof::TrackedBuffer<std::uint8_t>>> out_bufs;
-  for (std::uint32_t i = 0; i < k; ++i) {
-    out_bufs.push_back(std::make_unique<prof::TrackedBuffer<std::uint8_t>>(
-        q, "out" + std::to_string(i), out_size[i]));
-  }
-
-  std::vector<std::uint8_t> scratch(
-      std::max(source_size, *std::max_element(out_size.begin(),
-                                              out_size.end())));
-
-  // ---- source (host): publish input data. ----
-  {
-    prof::ScopedFunction scope{q, fn_source};
-    for (std::size_t i = 0; i < scratch.size() && i < source_size; ++i) {
-      scratch[i] = static_cast<std::uint8_t>(rng.next());
-    }
-    source_buf.write_range(0, source_size, scratch.data());
-    q.add_work(source_size / 8);
-  }
-
-  // ---- kernels in topological (index) order. ----
-  std::vector<std::uint64_t> work(k);
+  // One draw per payload byte of the input buffer, and of each kernel's
+  // output buffer before its work draw, is part of every seed's stream
+  // (campaign CSVs and fixtures pin it). Nothing reads the payload, so
+  // skip those draws.
+  rng.discard(flow.source_size);
+  flow.work.assign(k, 0);
   for (std::uint32_t j = 0; j < k; ++j) {
-    prof::ScopedFunction scope{q, kernel_fn[j]};
-    if (host_in[j] != 0) {
-      source_buf.read_range(0, host_in[j], scratch.data());
-    }
-    for (std::uint32_t i = 0; i < j; ++i) {
-      if (edge_bytes[i][j] != 0) {
-        out_bufs[i]->read_range(0, edge_bytes[i][j], scratch.data());
-      }
-    }
-    for (std::size_t b = 0; b < out_size[j]; ++b) {
-      scratch[b] = static_cast<std::uint8_t>(rng.next());
-    }
-    out_bufs[j]->write_range(0, out_size[j], scratch.data());
-    work[j] = rng.between(cfg.min_work_units, cfg.max_work_units);
-    q.add_work(work[j]);
-  }
-
-  // ---- sink (host): consume terminal outputs. ----
-  {
-    prof::ScopedFunction scope{q, fn_sink};
-    for (std::uint32_t i = 0; i < k; ++i) {
-      if (terminal[i]) {
-        out_bufs[i]->read_range(0, out_size[i], scratch.data());
-      }
-    }
-    q.add_work(256);
+    rng.discard(out_size[j]);
+    flow.work[j] = rng.between(cfg.min_work_units, cfg.max_work_units);
   }
 
   // Calibration.
-  app.calibration.push_back(
+  flow.calibration.push_back(
       sys::CalibrationEntry{"source", 4.0, 0.0, 0, 0, false, false, false});
   for (std::uint32_t i = 0; i < k; ++i) {
     sys::CalibrationEntry entry;
@@ -173,14 +122,79 @@ ProfiledApp make_synthetic_app(const SyntheticConfig& cfg) {
     entry.is_kernel = true;
     entry.duplicable = rng.chance(cfg.duplicable_probability);
     entry.streaming = rng.chance(cfg.streaming_probability);
-    app.calibration.push_back(entry);
+    flow.calibration.push_back(entry);
   }
-  app.calibration.push_back(
+  flow.calibration.push_back(
       sys::CalibrationEntry{"sink", 4.0, 0.0, 0, 0, false, false, false});
+  return flow;
+}
 
+prof::ProfileSnapshot declared_profile(const SyntheticDataflow& flow) {
+  const std::uint32_t k = flow.kernel_count;
+  // Function ids in program order: source, kernels, sink.
+  const prof::FunctionId source = 0;
+  const prof::FunctionId sink = k + 1;
+  const auto kernel = [](std::uint32_t i) {
+    return static_cast<prof::FunctionId>(i + 1);
+  };
+
+  prof::ProfileSnapshot snap;
+  snap.functions.resize(k + 2);
+  snap.functions[source].name = "source";
+  snap.functions[source].work_units = flow.source_size / 8;
+  snap.functions[source].writes = flow.source_size;
+  for (std::uint32_t i = 0; i < k; ++i) {
+    prof::ProfileSnapshot::Function& fn = snap.functions[kernel(i)];
+    fn.name = "kernel" + std::to_string(i);
+    fn.work_units = flow.work[i];
+    fn.writes = flow.output_size[i];
+  }
+  snap.functions[sink].name = "sink";
+  snap.functions[sink].work_units = kSyntheticSinkWork;
+
+  // Pushed in (producer, consumer) order; each read happens once over
+  // bytes written before it, so UMA == bytes.
+  const auto transfer = [&snap](prof::FunctionId producer,
+                                prof::FunctionId consumer,
+                                std::uint64_t bytes) {
+    snap.edges.push_back(
+        prof::ProfileSnapshot::Edge{producer, consumer, bytes, bytes});
+    snap.functions[consumer].reads += bytes;
+  };
+  for (std::uint32_t j = 0; j < k; ++j) {
+    if (flow.host_input[j] != 0) {
+      transfer(source, kernel(j), flow.host_input[j]);
+    }
+  }
+  for (std::uint32_t i = 0; i < k; ++i) {
+    for (std::uint32_t j = i + 1; j < k; ++j) {
+      if (flow.edge_bytes[i][j] != 0) {
+        transfer(kernel(i), kernel(j), flow.edge_bytes[i][j]);
+      }
+    }
+    if (flow.terminal[i]) {
+      transfer(kernel(i), sink, flow.output_size[i]);
+    }
+  }
+
+  for (prof::FunctionId id = 0; id <= sink; ++id) {
+    prof::ProfileSnapshot::Function& fn = snap.functions[id];
+    fn.calls = 1;
+    fn.unique_bytes_read = fn.reads;
+    fn.unique_bytes_written = fn.writes;
+    snap.call_order.push_back(id);
+  }
+  return snap;
+}
+
+ProfiledApp make_synthetic_app(const SyntheticConfig& cfg) {
+  SyntheticDataflow flow = generate_synthetic_dataflow(cfg);
+  ProfiledApp app;
+  app.name = "synthetic-" + std::to_string(cfg.seed);
+  app.profiler = prof::QuadProfiler::from_snapshot(declared_profile(flow));
+  app.calibration = std::move(flow.calibration);
   app.verified = true;
   app.verification_note = "synthetic dataflow (no functional semantics)";
-  q.finalize();
   return app;
 }
 

@@ -40,6 +40,10 @@ public:
     return result;
   }
 
+  /// Advance the state exactly as `n` calls to next() would, in O(log n)
+  /// (a few microseconds; no set-up, no shared state).
+  void discard(std::uint64_t n);
+
   /// Uniform integer in [0, bound) with Lemire rejection (unbiased enough
   /// for workload generation; bound must be non-zero).
   std::uint64_t below(std::uint64_t bound) { return next() % bound; }

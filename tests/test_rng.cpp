@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <set>
+#include <thread>
+#include <vector>
 
 namespace hybridic {
 namespace {
@@ -72,6 +76,86 @@ TEST(Rng, SatisfiesUniformRandomBitGenerator) {
   static_assert(Rng::max() == UINT64_MAX);
   Rng rng{5};
   EXPECT_NE(rng(), rng());
+}
+
+/// The next four outputs: a fingerprint of the generator state.
+std::array<std::uint64_t, 4> fingerprint(Rng rng) {
+  return {rng.next(), rng.next(), rng.next(), rng.next()};
+}
+
+/// State after `n` plain next() calls from `seed`.
+std::array<std::uint64_t, 4> stepped(std::uint64_t seed, std::uint64_t n) {
+  Rng rng{seed};
+  for (std::uint64_t i = 0; i < n; ++i) {
+    rng.next();
+  }
+  return fingerprint(rng);
+}
+
+TEST(Rng, DiscardMatchesRepeatedNextAtEdgeCounts) {
+  for (const std::uint64_t seed : {1ULL, 7ULL, 1009ULL}) {
+    for (const std::uint64_t n :
+         {0ULL, 1ULL, 63ULL, 64ULL, 65ULL, 4095ULL, (1ULL << 17) + 3}) {
+      Rng rng{seed};
+      rng.discard(n);
+      EXPECT_EQ(fingerprint(rng), stepped(seed, n))
+          << "seed " << seed << " n " << n;
+    }
+  }
+}
+
+TEST(Rng, DiscardMatchesRepeatedNextAtRandomCounts) {
+  Rng counts{2024};
+  for (const std::uint64_t seed : {3ULL, 42ULL, 1009ULL}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      const std::uint64_t n = counts.below(1ULL << 22);
+      Rng rng{seed};
+      rng.discard(n);
+      EXPECT_EQ(fingerprint(rng), stepped(seed, n))
+          << "seed " << seed << " n " << n;
+    }
+  }
+}
+
+TEST(Rng, DiscardComposesWithDraws) {
+  // discard(a); next(); discard(b) must land where a + 1 + b next() calls
+  // do — the synthetic generator interleaves jumps with real draws.
+  Rng jumped{5};
+  jumped.discard(1000);
+  const std::uint64_t drawn = jumped.next();
+  jumped.discard(77777);
+  Rng walked{5};
+  for (int i = 0; i < 1000; ++i) {
+    walked.next();
+  }
+  EXPECT_EQ(walked.next(), drawn);
+  for (int i = 0; i < 77777; ++i) {
+    walked.next();
+  }
+  EXPECT_EQ(fingerprint(jumped), fingerprint(walked));
+}
+
+TEST(Rng, DiscardConcurrentFirstCallsAgree) {
+  // Four threads make the process's first discard calls at once. Any
+  // shared state behind discard must be race-free; CI runs this under
+  // ThreadSanitizer.
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::array<std::uint64_t, 4>> results(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&results, t] {
+      Rng rng{99};
+      rng.discard((1ULL << 40) + 12345);
+      results[t] = fingerprint(rng);
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(results[t], results[0]);
+  }
 }
 
 }  // namespace
