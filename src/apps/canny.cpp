@@ -232,7 +232,7 @@ std::uint64_t store_edges(QuadProfiler& q, prof::FunctionId fn,
 ProfiledApp run_canny(const CannyConfig& cfg) {
   ProfiledApp app;
   app.name = "canny";
-  app.profiler = std::make_unique<QuadProfiler>(prof::ProfileMode::kDeferred);
+  app.profiler = std::make_unique<QuadProfiler>();
   QuadProfiler& q = *app.profiler;
 
   // Declaration order == program order (build_schedule relies on it).
@@ -292,7 +292,6 @@ ProfiledApp run_canny(const CannyConfig& cfg) {
       {"store_edges", 4.06, 0.0, 0, 0, false, false, false},
   };
   app.environment.base_infrastructure = core::Resources{2000, 2019};
-  q.finalize();
   return app;
 }
 

@@ -178,7 +178,7 @@ double divergence_norm(const Grid& g, const Field& u, const Field& v) {
 ProfiledApp run_fluid(const FluidConfig& cfg) {
   ProfiledApp app;
   app.name = "fluid";
-  app.profiler = std::make_unique<QuadProfiler>(prof::ProfileMode::kDeferred);
+  app.profiler = std::make_unique<QuadProfiler>();
   QuadProfiler& q = *app.profiler;
 
   const auto fn_init = q.declare("init_fields");
@@ -302,7 +302,6 @@ ProfiledApp run_fluid(const FluidConfig& cfg) {
       {"read_state", 11.7, 0.0, 0, 0, false, false, false},
   };
   app.environment.base_infrastructure = core::Resources{1097, 875};
-  q.finalize();
   return app;
 }
 

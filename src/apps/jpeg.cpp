@@ -51,7 +51,7 @@ jpegc::HuffmanCode read_code(const TrackedBuffer<std::uint8_t>& lengths) {
 ProfiledApp run_jpeg(const JpegConfig& cfg) {
   ProfiledApp app;
   app.name = "jpeg";
-  app.profiler = std::make_unique<QuadProfiler>(prof::ProfileMode::kDeferred);
+  app.profiler = std::make_unique<QuadProfiler>();
   QuadProfiler& q = *app.profiler;
 
   const auto fn_read = q.declare("read_bitstream");
@@ -253,7 +253,6 @@ ProfiledApp run_jpeg(const JpegConfig& cfg) {
       {"write_output", 2.0, 0.0, 0, 0, false, false, false},
   };
   app.environment.base_infrastructure = core::Resources{2007, 2882};
-  q.finalize();
   return app;
 }
 

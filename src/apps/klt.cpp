@@ -239,7 +239,7 @@ void track_features(QuadProfiler& q, prof::FunctionId fn,
 ProfiledApp run_klt(const KltConfig& cfg) {
   ProfiledApp app;
   app.name = "klt";
-  app.profiler = std::make_unique<QuadProfiler>(prof::ProfileMode::kDeferred);
+  app.profiler = std::make_unique<QuadProfiler>();
   QuadProfiler& q = *app.profiler;
 
   const auto fn_load = q.declare("load_frames");
@@ -306,7 +306,6 @@ ProfiledApp run_klt(const KltConfig& cfg) {
       {"report_tracks", 7.0, 0.0, 0, 0, false, false, false},
   };
   app.environment.base_infrastructure = core::Resources{223, 1232};
-  q.finalize();
   return app;
 }
 

@@ -17,6 +17,7 @@
 #include "store/journal.hpp"
 #include "sys/batch_runner.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace hybridic::dse {
 namespace {
@@ -46,7 +47,7 @@ std::string hex16(std::uint64_t h) {
 /// 16-hex content hash of a row's profile identity: the exact string the
 /// profile cache (and the L2 store, revision aside) keys the config by.
 std::string profile_key_of(const apps::SyntheticConfig& config) {
-  return hex16(store::fnv1a64(apps::ProfileCache::synthetic_key(config)));
+  return hex16(fnv1a64(apps::ProfileCache::synthetic_key(config)));
 }
 
 /// CSV-safe rendering of a free-form message (no commas, no newlines).
@@ -447,7 +448,7 @@ std::string campaign_fingerprint(const CampaignOptions& options) {
     s << "|search anneal r" << options.search_restarts << " i"
       << options.search_iterations;
   }
-  return hex16(store::fnv1a64(s.str()));
+  return hex16(fnv1a64(s.str()));
 }
 
 apps::SyntheticConfig sample_config(const SweepSpace& space,

@@ -12,7 +12,6 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <unordered_map>
 
 namespace hybridic::prof {
@@ -58,24 +57,6 @@ public:
 
   /// Allocated bitmap pages (memory accounting; kPageBytes/8 bytes each).
   [[nodiscard]] std::size_t page_count() const { return pages_.size(); }
-
-  /// Move every page of `other` into this set and add its count. Page sets
-  /// must be disjoint (the parallel-replay shards partition addresses by
-  /// page); `other` is left empty.
-  void absorb(PagedByteSet& other) {
-    for (auto& [key, page] : other.pages_) {
-      auto [it, inserted] = pages_.emplace(key, std::move(page));
-      (void)it;
-      if (!inserted) {
-        throw std::logic_error{"PagedByteSet::absorb: overlapping pages"};
-      }
-    }
-    count_ += other.count_;
-    other.pages_.clear();
-    other.cached_page_ = nullptr;
-    other.cached_key_ = 0;
-    other.count_ = 0;
-  }
 
 private:
   using Page = std::array<std::uint64_t, kPageBytes / 64>;

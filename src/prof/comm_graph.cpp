@@ -39,11 +39,16 @@ FunctionProfile& CommGraph::function_mutable(FunctionId id) {
 void CommGraph::add_transfer(FunctionId producer, FunctionId consumer,
                              Bytes bytes,
                              std::uint64_t new_unique_addresses) {
-  require(producer < functions_.size() && consumer < functions_.size(),
-          "CommGraph transfer endpoints out of range");
-  EdgeData& edge = edges_[{producer, consumer}];
+  EdgeCounters& edge = edge_counters(producer, consumer);
   edge.bytes += bytes.count();
   edge.unique_addresses += new_unique_addresses;
+}
+
+CommGraph::EdgeCounters& CommGraph::edge_counters(FunctionId producer,
+                                                  FunctionId consumer) {
+  require(producer < functions_.size() && consumer < functions_.size(),
+          "CommGraph transfer endpoints out of range");
+  return edges_[{producer, consumer}];
 }
 
 std::vector<CommEdge> CommGraph::edges() const {

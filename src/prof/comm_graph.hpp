@@ -37,6 +37,12 @@ struct FunctionProfile {
 /// The communication graph: functions + weighted directed edges.
 class CommGraph {
 public:
+  /// Running totals of one producer->consumer edge.
+  struct EdgeCounters {
+    std::uint64_t bytes = 0;
+    std::uint64_t unique_addresses = 0;
+  };
+
   /// Register a function; names must be unique.
   FunctionId add_function(std::string name);
 
@@ -54,6 +60,12 @@ public:
   void add_transfer(FunctionId producer, FunctionId consumer, Bytes bytes,
                     std::uint64_t new_unique_addresses);
 
+  /// The counters of edge producer->consumer, created at zero if absent.
+  /// The reference stays valid for the graph's lifetime (edges are never
+  /// erased), so a caller may keep it across many transfers.
+  [[nodiscard]] EdgeCounters& edge_counters(FunctionId producer,
+                                            FunctionId consumer);
+
   /// All edges with non-zero byte counts, ordered by (producer, consumer).
   [[nodiscard]] std::vector<CommEdge> edges() const;
 
@@ -70,14 +82,9 @@ public:
   [[nodiscard]] std::string summary() const;
 
 private:
-  struct EdgeData {
-    std::uint64_t bytes = 0;
-    std::uint64_t unique_addresses = 0;
-  };
-
   std::vector<FunctionProfile> functions_;
   std::map<std::string, FunctionId> by_name_;
-  std::map<std::pair<FunctionId, FunctionId>, EdgeData> edges_;
+  std::map<std::pair<FunctionId, FunctionId>, EdgeCounters> edges_;
 };
 
 }  // namespace hybridic::prof

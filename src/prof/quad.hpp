@@ -5,15 +5,10 @@
 // (bytes + unique memory addresses per producer→consumer pair) that drives
 // the interconnect design algorithm.
 //
-// Two attribution modes (docs/MODEL.md §15):
-//  - kEager: every record_read scans shadow memory immediately — the
-//    original behaviour, still the default for direct profiler use.
-//  - kDeferred: record_write/record_read append to a coalesced event trace
-//    and attribution runs in finalize(), which can shard the replay by
-//    shadow page across a ThreadPool. Because the shards partition the
-//    byte address space, per-edge byte and UMA totals are exact integer
-//    sums over shards — the CommGraph is byte-identical to an eager run at
-//    any shard or thread count.
+// Attribution is eager: each record_read scans shadow memory at once and
+// charges every run of bytes to its last writer. A one-entry edge memo
+// keeps the (producer, consumer) lookups off the per-run path
+// (docs/MODEL.md §15).
 #pragma once
 
 #include <cstdint>
@@ -26,19 +21,12 @@
 #include "prof/shadow_memory.hpp"
 #include "util/units.hpp"
 
-namespace hybridic {
-class ThreadPool;
-}  // namespace hybridic
-
 namespace hybridic::prof {
-
-/// When read→last-writer attribution happens (see file comment).
-enum class ProfileMode { kEager, kDeferred };
 
 /// Value snapshot of a finished profile: everything the design pipeline
 /// consumes downstream of profiling (graph, per-function counters, unique
 /// footprints, observed call order) — and nothing it does not (no shadow
-/// pages, no event trace). This is the unit the persistent store
+/// pages, no UMA bitmaps). This is the unit the persistent store
 /// serializes; QuadProfiler::from_snapshot rebuilds an equivalent profiler.
 struct ProfileSnapshot {
   struct Function {
@@ -62,12 +50,10 @@ struct ProfileSnapshot {
 };
 
 /// The profiling runtime. Single-threaded by design — a profiled run is a
-/// deterministic re-execution of the application. (finalize() may fan the
-/// replay out over a pool, but the recording API stays single-threaded.)
+/// deterministic re-execution of the application.
 class QuadProfiler {
 public:
-  explicit QuadProfiler(ProfileMode mode = ProfileMode::kEager)
-      : mode_(mode) {}
+  QuadProfiler() = default;
   QuadProfiler(const QuadProfiler&) = delete;
   QuadProfiler& operator=(const QuadProfiler&) = delete;
 
@@ -89,26 +75,12 @@ public:
   void record_write(std::uint64_t addr, std::uint64_t size);
 
   /// Record a read of [addr, addr+size) by the current function; attributes
-  /// each byte to its last writer (in finalize() when deferred).
+  /// each byte to its last writer.
   void record_read(std::uint64_t addr, std::uint64_t size);
 
   /// Add explicit computational work units to the current function (the
   /// op count used to calibrate kernel compute times).
   void add_work(std::uint64_t units);
-
-  /// Replay the deferred event trace into shadow memory and the comm
-  /// graph. No-op in eager mode or when already finalized (idempotent).
-  /// With a pool (defaults to the ambient ThreadPool::current()) the
-  /// replay is sharded by shadow page and runs in parallel; the resulting
-  /// graph is byte-identical either way. After finalize() the profiler
-  /// behaves exactly like an eager one (further record_* calls allowed).
-  void finalize(ThreadPool* pool = nullptr);
-
-  /// Deferred events currently buffered (0 in eager mode / after
-  /// finalize) — exposed for tests and memory accounting.
-  [[nodiscard]] std::size_t pending_events() const { return trace_.size(); }
-
-  [[nodiscard]] ProfileMode mode() const { return mode_; }
 
   [[nodiscard]] const CommGraph& graph() const { return graph_; }
   [[nodiscard]] const ShadowMemory& shadow() const { return shadow_; }
@@ -136,8 +108,7 @@ public:
 
   // ---- Persistence (src/store/ profile codec). ----
 
-  /// Capture the downstream-visible profile. Requires a finalized (or
-  /// eager) profiler with no open scopes.
+  /// Capture the downstream-visible profile. Requires no open scopes.
   [[nodiscard]] ProfileSnapshot snapshot() const;
 
   /// Rebuild a profiler from a snapshot. The result serves every read-side
@@ -151,32 +122,27 @@ public:
   [[nodiscard]] bool restored() const { return restored_; }
 
   /// Rough resident footprint in bytes (shadow pages, footprint bitmaps,
-  /// UMA bitmaps, buffered trace) — the L1 cache's eviction accounting.
+  /// UMA bitmaps) — the L1 cache's eviction accounting.
   [[nodiscard]] std::uint64_t approx_memory_bytes() const;
 
 private:
-  /// One deferred access: [addr, addr+size) by function `fn_op >> 1`;
-  /// low bit set = write. Coalescing in record_* merges strictly adjacent
-  /// same-function same-op accesses, which never changes attribution:
-  /// between two consecutive trace entries no other event exists, so
-  /// processing [a,a+s1) then [a+s1,a+s1+s2) equals one [a,a+s1+s2) pass.
-  struct TraceEvent {
-    std::uint64_t addr = 0;
-    std::uint32_t size = 0;
-    std::uint32_t fn_op = 0;
+  /// The last (producer, consumer) edge a read run was charged to: its UMA
+  /// set and graph counters. Reads arrive in long same-edge streaks, so
+  /// the two map lookups run only when the pair changes. Both maps are
+  /// node-based and never erase, so the pointers stay valid.
+  struct EdgeMemo {
+    FunctionId producer = kNoWriter;
+    FunctionId consumer = kNoWriter;
+    PagedByteSet* uma = nullptr;
+    CommGraph::EdgeCounters* counters = nullptr;
   };
 
-  void attribute_read_eager(FunctionId consumer, std::uint64_t addr,
-                            std::uint64_t size);
-  void replay_serial();
-  void replay_sharded(ThreadPool& pool);
+  void attribute_read(FunctionId consumer, std::uint64_t addr,
+                      std::uint64_t size);
 
-  ProfileMode mode_ = ProfileMode::kEager;
-  bool finalized_ = false;
   bool restored_ = false;
   CommGraph graph_;
   ShadowMemory shadow_;
-  std::vector<TraceEvent> trace_;
   std::vector<FunctionId> stack_;
   std::vector<PagedByteSet> write_footprint_;
   std::vector<PagedByteSet> read_footprint_;
@@ -189,6 +155,7 @@ private:
 
   /// Per-edge sets for UMA counting.
   std::map<std::pair<FunctionId, FunctionId>, PagedByteSet> uma_;
+  EdgeMemo memo_;
 };
 
 /// RAII scope for QuadProfiler::enter/leave.

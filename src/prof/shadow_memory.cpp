@@ -1,7 +1,6 @@
 #include "prof/shadow_memory.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace hybridic::prof {
 
@@ -36,23 +35,6 @@ void ShadowMemory::write(std::uint64_t addr, std::uint64_t size,
                 in_page, writer);
     pos += in_page;
   }
-}
-
-void ShadowMemory::absorb(ShadowMemory& other) {
-  for (auto& [key, page] : other.pages_) {
-    auto [it, inserted] = pages_.emplace(key, std::move(page));
-    (void)it;
-    if (!inserted) {
-      // Disjointness is a caller invariant; colliding pages would mean two
-      // shards claimed the same page and the merge would be order-dependent.
-      throw std::logic_error{"ShadowMemory::absorb: overlapping pages"};
-    }
-  }
-  other.pages_.clear();
-  other.cached_key_ = UINT64_MAX;
-  other.cached_page_ = nullptr;
-  scans_.fetch_add(other.scans_.exchange(0, std::memory_order_relaxed),
-                   std::memory_order_relaxed);
 }
 
 FunctionId ShadowMemory::last_writer(std::uint64_t addr) const {

@@ -100,12 +100,6 @@ public:
 
   [[nodiscard]] std::size_t page_count() const { return pages_.size(); }
 
-  /// Move every page of `other` into this shadow. The two page sets must be
-  /// disjoint (the parallel-finalize shards partition pages by page index,
-  /// so they are by construction); `other` is left empty. Scan counters are
-  /// summed so instrumentation sees the shard scans too.
-  void absorb(ShadowMemory& other);
-
   /// Number of scan() calls ever made against this shadow. The profile
   /// memoization cache's hit path must leave this untouched (tested), which
   /// is what "a hit does zero shadow-memory passes" means operationally.

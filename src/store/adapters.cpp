@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "store/codec.hpp"
+#include "util/hash.hpp"
 
 namespace hybridic::store {
 

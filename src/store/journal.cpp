@@ -8,6 +8,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/hash.hpp"
+
 namespace hybridic::store {
 
 namespace fs = std::filesystem;

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/hash.hpp"
+
 namespace hybridic::store {
 
 namespace fs = std::filesystem;
@@ -15,13 +17,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kMagic = "hybridic-store 1";
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 std::string hex64(std::uint64_t value) {
   char buf[17];
@@ -61,15 +56,6 @@ bool parse_u64(const std::string& text, std::uint64_t& value) {
 }
 
 }  // namespace
-
-std::uint64_t fnv1a64(const std::string& data, std::uint64_t basis) {
-  std::uint64_t hash = basis;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
 
 Store::Store(std::string root) : root_(std::move(root)) {
   std::error_code ec;

@@ -53,10 +53,6 @@ struct StoreStats {
   std::uint64_t corrupt_entries = 0;  ///< Present but failed validation.
 };
 
-/// FNV-1a 64-bit over `data`, starting from `basis`.
-[[nodiscard]] std::uint64_t fnv1a64(
-    const std::string& data, std::uint64_t basis = 0xcbf29ce484222325ULL);
-
 class Store {
 public:
   /// Open (creating if needed) a store rooted at `root`. Layout:

@@ -1,13 +1,9 @@
 #include "util/thread_pool.hpp"
 
-#include <exception>
-#include <limits>
-
 namespace hybridic {
 
 namespace {
 thread_local std::size_t tls_worker_index = ThreadPool::kNotAWorker;
-thread_local ThreadPool* tls_worker_pool = nullptr;
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -65,8 +61,6 @@ std::uint64_t ThreadPool::executed_count() const {
 
 std::size_t ThreadPool::current_worker() { return tls_worker_index; }
 
-ThreadPool* ThreadPool::current() { return tls_worker_pool; }
-
 std::function<void()> ThreadPool::take_from(std::size_t victim) {
   std::unique_lock<std::mutex> lock{queues_[victim]->mutex};
   if (queues_[victim]->tasks.empty()) {
@@ -79,7 +73,6 @@ std::function<void()> ThreadPool::take_from(std::size_t victim) {
 
 void ThreadPool::worker_loop(std::size_t self) {
   tls_worker_index = self;
-  tls_worker_pool = this;
   const std::size_t n = queues_.size();
   for (;;) {
     // Own queue first (FIFO), then round-robin over the other workers'
@@ -119,74 +112,6 @@ void ThreadPool::worker_loop(std::size_t self) {
     // queued_ counts submitted-but-not-yet-taken tasks, so workers sleep
     // here (instead of spinning) while other workers run long tasks.
     work_cv_.wait(lock, [this] { return stop_ || queued_ > 0; });
-  }
-}
-
-void TaskGroup::run_and_wait() {
-  const std::size_t n = tasks_.size();
-  if (n == 0) {
-    return;
-  }
-  if (pool_ == nullptr || pool_->thread_count() <= 1 || n == 1) {
-    // Serial fast path: run inline, first throw wins (it is also the
-    // lowest index, since we run in order).
-    std::vector<std::function<void()>> tasks = std::move(tasks_);
-    tasks_.clear();
-    for (auto& task : tasks) {
-      task();
-    }
-    return;
-  }
-
-  struct State {
-    std::vector<std::function<void()>> tasks;
-    std::atomic<std::size_t> next{0};
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    std::size_t completed = 0;  ///< Guarded by mutex.
-    std::size_t error_index = std::numeric_limits<std::size_t>::max();
-    std::exception_ptr error;  ///< From the lowest-index throwing task.
-  };
-  auto state = std::make_shared<State>();
-  state->tasks = std::move(tasks_);
-  tasks_.clear();
-
-  auto drain = [](const std::shared_ptr<State>& s) {
-    for (;;) {
-      const std::size_t i = s->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= s->tasks.size()) {
-        return;
-      }
-      std::exception_ptr error;
-      try {
-        s->tasks[i]();
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::unique_lock<std::mutex> lock{s->mutex};
-      if (error && i < s->error_index) {
-        s->error_index = i;
-        s->error = error;
-      }
-      if (++s->completed == s->tasks.size()) {
-        s->done_cv.notify_all();
-      }
-    }
-  };
-
-  // One helper per extra worker; the caller claims tasks too, so a group
-  // launched from a pool job makes progress even if no helper ever runs.
-  const std::size_t helpers = std::min(pool_->thread_count() - 1, n - 1);
-  for (std::size_t i = 0; i < helpers; ++i) {
-    pool_->submit([state, drain] { drain(state); });
-  }
-  drain(state);
-
-  std::unique_lock<std::mutex> lock{state->mutex};
-  state->done_cv.wait(lock,
-                      [&] { return state->completed == state->tasks.size(); });
-  if (state->error) {
-    std::rethrow_exception(state->error);
   }
 }
 

@@ -55,12 +55,6 @@ public:
   /// Index of the calling pool worker, or kNotAWorker outside the pool.
   [[nodiscard]] static std::size_t current_worker();
 
-  /// The pool owning the calling thread, or nullptr outside any pool.
-  /// Lets library code (e.g. QuadProfiler::finalize) discover an
-  /// ambient pool and fan out without threading a pointer through
-  /// every call site.
-  [[nodiscard]] static ThreadPool* current();
-
 private:
   struct Queue {
     std::mutex mutex;
@@ -86,37 +80,6 @@ private:
 
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> executed_{0};
-};
-
-/// Caller-participating scatter/gather over an (optional) ThreadPool.
-///
-/// Collect tasks with add(), then run_and_wait(). Tasks are claimed from a
-/// shared atomic cursor by pool workers *and* by the calling thread, so a
-/// group launched from inside a pool job can never deadlock the pool: the
-/// caller always makes progress on its own tasks even when every worker is
-/// busy. With a null pool (or a 1-thread pool) everything simply runs
-/// inline on the caller, in add() order.
-///
-/// If tasks throw, the exception from the lowest-index throwing task is
-/// rethrown from run_and_wait() — deterministic regardless of which
-/// thread ran which task.
-class TaskGroup {
-public:
-  /// `pool` may be null (pure serial execution).
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
-
-  /// Collect a task; must be called before run_and_wait().
-  void add(std::function<void()> task) { tasks_.push_back(std::move(task)); }
-
-  [[nodiscard]] std::size_t size() const { return tasks_.size(); }
-
-  /// Run every added task, blocking until all complete. One-shot: the
-  /// group is empty afterwards and can be reused with fresh add() calls.
-  void run_and_wait();
-
-private:
-  ThreadPool* pool_ = nullptr;
-  std::vector<std::function<void()>> tasks_;
 };
 
 }  // namespace hybridic

@@ -11,6 +11,7 @@
 #include "apps/app.hpp"
 #include "apps/jpeg.hpp"
 #include "dse/campaign.hpp"
+#include "store/codec.hpp"
 #include "sys/experiment.hpp"
 
 namespace hybridic {
@@ -191,38 +192,45 @@ TEST(Golden, DuplicateCallOrderRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Search-campaign output: the searched_* CSV columns and the
-// "Algorithm 1 vs searched" REPORT section are a scripting contract, so
-// a tiny deterministic campaign is pinned byte-for-byte. Regenerate with
-//   HYBRIDIC_UPDATE_SEARCH_FIXTURES=1 ctest -R Golden
-// and review the diff like any other golden update.
+// Byte-pinned fixtures. Each family has its own regeneration variable:
+//   HYBRIDIC_UPDATE_PROFILE_FIXTURES=1 ctest -R Golden   (fixtures/profiles)
+//   HYBRIDIC_UPDATE_SEARCH_FIXTURES=1 ctest -R Golden    (fixtures/search)
+// Review the diff like any other golden update.
 
-std::string search_fixture_path(const char* name) {
-  return std::string{HYBRIDIC_TESTS_SOURCE_DIR} + "/fixtures/search/" + name;
-}
-
-bool search_update_mode() {
-  const char* flag = std::getenv("HYBRIDIC_UPDATE_SEARCH_FIXTURES");
-  return flag != nullptr && std::string{flag} == "1";
-}
-
-void expect_matches_fixture(const std::string& text, const char* name) {
-  const std::string path = search_fixture_path(name);
-  if (search_update_mode()) {
-    std::ofstream out{path};
+void expect_matches_fixture(const std::string& text, const std::string& dir,
+                            const std::string& name, const char* update_var) {
+  const std::string path =
+      std::string{HYBRIDIC_TESTS_SOURCE_DIR} + "/fixtures/" + dir + "/" + name;
+  const char* flag = std::getenv(update_var);
+  if (flag != nullptr && std::string{flag} == "1") {
+    std::ofstream out{path, std::ios::binary};
     ASSERT_TRUE(out.good()) << "cannot write " << path;
     out << text;
     return;
   }
-  std::ifstream in{path};
-  ASSERT_TRUE(in.good()) << path
-                         << " missing; regenerate with "
-                            "HYBRIDIC_UPDATE_SEARCH_FIXTURES=1";
+  std::ifstream in{path, std::ios::binary};
+  ASSERT_TRUE(in.good()) << path << " missing; regenerate with "
+                         << update_var << "=1";
   const std::string on_disk{std::istreambuf_iterator<char>{in},
                             std::istreambuf_iterator<char>{}};
   EXPECT_EQ(on_disk, text) << name << " drifted from the checked-in fixture";
 }
 
+// The full encoded profile of each paper app — every edge's bytes and UMA
+// count, every function's counters and unique footprints, the observed
+// call order and the calibration — so any change to attribution shows up
+// as a byte diff, not only on the few edges pinned above.
+TEST(Golden, PaperAppProfilesMatchFixtures) {
+  for (const std::string& name : apps::paper_app_names()) {
+    const apps::ProfiledApp app = apps::run_paper_app(name);
+    expect_matches_fixture(store::encode_profile(app), "profiles",
+                           name + ".txt", "HYBRIDIC_UPDATE_PROFILE_FIXTURES");
+  }
+}
+
+// Search-campaign output: the searched_* CSV columns and the
+// "Algorithm 1 vs searched" REPORT section are a scripting contract, so
+// a tiny deterministic campaign is pinned byte-for-byte.
 TEST(Golden, SearchCampaignCsvColumnsAndReportSection) {
   dse::CampaignOptions options;
   options.count = 4;
@@ -239,7 +247,8 @@ TEST(Golden, SearchCampaignCsvColumnsAndReportSection) {
   const std::string csv = dse::campaign_csv(result);
   EXPECT_NE(csv.find("searched_solution,searched_analytic_s"),
             std::string::npos);
-  expect_matches_fixture(csv, "campaign_search.csv");
+  expect_matches_fixture(csv, "search", "campaign_search.csv",
+                         "HYBRIDIC_UPDATE_SEARCH_FIXTURES");
 
   const std::string markdown = dse::campaign_markdown(result, options);
   const std::size_t at =
@@ -249,8 +258,9 @@ TEST(Golden, SearchCampaignCsvColumnsAndReportSection) {
   if (end == std::string::npos) {
     end = markdown.size();
   }
-  expect_matches_fixture(markdown.substr(at, end - at),
-                         "campaign_search_section.md");
+  expect_matches_fixture(markdown.substr(at, end - at), "search",
+                         "campaign_search_section.md",
+                         "HYBRIDIC_UPDATE_SEARCH_FIXTURES");
 
   // The same sweep without --search must keep the original schema: no
   // searched columns, no Pareto section.

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hybridic::prof {
 namespace {
@@ -170,13 +172,111 @@ TEST(QuadProfiler, AllocationAlignment) {
 }
 
 // ---------------------------------------------------------------------------
-// Deferred mode: trace replay must reproduce eager attribution exactly.
+// Reference oracle: eager attribution must match a naive per-byte QUAD.
 // ---------------------------------------------------------------------------
 
+/// Mirrors every call into the profiler under test and attributes it on its
+/// own, one byte at a time: a map from address to last writer and a
+/// std::set per edge for UMA. Slow and obviously right.
+class ReferenceOracle {
+public:
+  explicit ReferenceOracle(QuadProfiler& q) : q_(&q) {}
+
+  FunctionId declare(const char* name) {
+    const FunctionId id = q_->declare(name);
+    functions_.resize(id + 1);
+    return id;
+  }
+  void enter(FunctionId f) {
+    q_->enter(f);
+    stack_.push_back(f);
+    if (functions_[f].calls++ == 0) {
+      call_order_.push_back(f);
+    }
+  }
+  void leave() {
+    q_->leave();
+    stack_.pop_back();
+  }
+  std::uint64_t allocate(std::uint64_t bytes) { return q_->allocate(bytes); }
+  void add_work(std::uint64_t units) { q_->add_work(units); }
+
+  void record_write(std::uint64_t addr, std::uint64_t size) {
+    q_->record_write(addr, size);
+    Function& fn = functions_[stack_.back()];
+    fn.writes += size;
+    for (std::uint64_t byte = addr; byte < addr + size; ++byte) {
+      last_writer_[byte] = stack_.back();
+      fn.written.insert(byte);
+    }
+  }
+  void record_read(std::uint64_t addr, std::uint64_t size) {
+    q_->record_read(addr, size);
+    const FunctionId consumer = stack_.back();
+    Function& fn = functions_[consumer];
+    fn.reads += size;
+    for (std::uint64_t byte = addr; byte < addr + size; ++byte) {
+      fn.read.insert(byte);
+      const auto it = last_writer_.find(byte);
+      if (it != last_writer_.end()) {
+        Edge& edge = edges_[{it->second, consumer}];
+        ++edge.bytes;
+        edge.uma.insert(byte);
+      }
+    }
+  }
+
+  /// Every downstream-visible figure of `q_` equals the reference's.
+  void expect_matches() const {
+    const auto edges = q_->graph().edges();
+    ASSERT_EQ(edges.size(), edges_.size());
+    auto ref = edges_.begin();
+    for (const CommEdge& edge : edges) {
+      EXPECT_EQ(edge.producer, ref->first.first);
+      EXPECT_EQ(edge.consumer, ref->first.second);
+      EXPECT_EQ(edge.bytes.count(), ref->second.bytes);
+      EXPECT_EQ(edge.unique_addresses, ref->second.uma.size());
+      ++ref;
+    }
+    ASSERT_EQ(q_->graph().function_count(), functions_.size());
+    for (FunctionId f = 0; f < functions_.size(); ++f) {
+      const FunctionProfile& fn = q_->graph().function(f);
+      EXPECT_EQ(fn.reads, functions_[f].reads) << f;
+      EXPECT_EQ(fn.writes, functions_[f].writes) << f;
+      EXPECT_EQ(fn.calls, functions_[f].calls) << f;
+      EXPECT_EQ(q_->unique_bytes_read(f), functions_[f].read.size()) << f;
+      EXPECT_EQ(q_->unique_bytes_written(f), functions_[f].written.size())
+          << f;
+    }
+    EXPECT_EQ(q_->call_order(), call_order_);
+  }
+
+private:
+  struct Function {
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t calls = 0;
+    std::set<std::uint64_t> read;
+    std::set<std::uint64_t> written;
+  };
+  struct Edge {
+    std::uint64_t bytes = 0;
+    std::set<std::uint64_t> uma;
+  };
+
+  QuadProfiler* q_;
+  std::vector<FunctionId> stack_;
+  std::vector<Function> functions_;
+  std::vector<FunctionId> call_order_;
+  std::map<std::uint64_t, FunctionId> last_writer_;
+  std::map<std::pair<FunctionId, FunctionId>, Edge> edges_;
+};
+
 /// A deterministic workload with page-crossing accesses, overwrites,
-/// repeated reads, nested scopes, and enough events (> the serial-replay
-/// threshold) to exercise the sharded replay path.
-void run_workload(QuadProfiler& q) {
+/// repeated reads and nested scopes. Runs on a QuadProfiler or, through a
+/// ReferenceOracle, on both at once.
+template <typename Profiler>
+void run_workload(Profiler& q) {
   const FunctionId a = q.declare("a");
   const FunctionId b = q.declare("b");
   const FunctionId c = q.declare("c");
@@ -227,53 +327,91 @@ void expect_same_profile(const QuadProfiler& x, const QuadProfiler& y) {
   EXPECT_EQ(x.call_order(), y.call_order());
 }
 
-TEST(QuadDeferred, SerialReplayMatchesEager) {
-  QuadProfiler eager{ProfileMode::kEager};
-  run_workload(eager);
-  QuadProfiler deferred{ProfileMode::kDeferred};
-  run_workload(deferred);
-  EXPECT_GT(deferred.pending_events(), 0U);
-  EXPECT_TRUE(deferred.graph().edges().empty());  // Not yet attributed.
-  deferred.finalize();
-  EXPECT_EQ(deferred.pending_events(), 0U);
-  expect_same_profile(eager, deferred);
+TEST(QuadReference, EagerMatchesPerByteReference) {
+  QuadProfiler q;
+  ReferenceOracle reference{q};
+  run_workload(reference);
+  reference.expect_matches();
 }
 
-TEST(QuadDeferred, ShardedReplayIsThreadCountInvariant) {
-  QuadProfiler eager{ProfileMode::kEager};
-  run_workload(eager);
-  for (const std::size_t threads : {2U, 4U, 7U}) {
-    ThreadPool pool{threads};
-    QuadProfiler deferred{ProfileMode::kDeferred};
-    run_workload(deferred);
-    deferred.finalize(&pool);
-    expect_same_profile(eager, deferred);
+// The one-entry edge memo must never charge a run to the previous edge:
+// consumers and producers alternate read by read, scopes nest, reads hit
+// never-written bytes and straddle a shadow page, and a write changes the
+// producer in the middle of a range between two reads of it.
+TEST(QuadReference, EdgeMemoFollowsEveryPairChange) {
+  QuadProfiler q;
+  ReferenceOracle reference{q};
+  const FunctionId p1 = reference.declare("p1");
+  const FunctionId p2 = reference.declare("p2");
+  const FunctionId c1 = reference.declare("c1");
+  const FunctionId c2 = reference.declare("c2");
+  constexpr std::uint64_t kPage = ShadowMemory::kPageBytes;
+  const std::uint64_t base = q.allocate(4 * kPage, kPage);
+
+  reference.enter(p1);
+  reference.record_write(base, 2 * kPage);
+  reference.leave();
+  reference.enter(p2);
+  reference.record_write(base + 2 * kPage, kPage);
+  reference.leave();
+
+  // Straddles the page 0/1 boundary; all p1.
+  reference.enter(c1);
+  reference.record_read(base + kPage - 96, 200);
+  reference.leave();
+  // One read, two producers: 92 bytes of p1 then 108 of p2.
+  reference.enter(c2);
+  reference.record_read(base + 2 * kPage - 92, 200);
+  reference.leave();
+  // Alternating consumers on the same bytes.
+  for (int i = 0; i < 4; ++i) {
+    reference.enter(c1);
+    reference.record_read(base, 16);
+    reference.leave();
+    reference.enter(c2);
+    reference.record_read(base, 16);
+    reference.leave();
+  }
+  // Nested scopes: the inner read is c2's, the outer c1's.
+  reference.enter(c1);
+  reference.enter(c2);
+  reference.record_read(base + 16, 16);
+  reference.leave();
+  reference.record_read(base + 32, 16);
+  reference.leave();
+  // Never-written page, then a read running off written data into it.
+  reference.enter(c1);
+  reference.record_read(base + 3 * kPage, 64);
+  reference.record_read(base + 3 * kPage - 8, 20);
+  reference.leave();
+  // p2 overwrites the middle of a range c1 has read; the re-read splits.
+  reference.enter(c1);
+  reference.record_read(base + 100, 64);
+  reference.leave();
+  reference.enter(p2);
+  reference.record_write(base + 120, 10);
+  reference.leave();
+  reference.enter(c1);
+  reference.record_read(base + 100, 64);
+  reference.leave();
+
+  reference.expect_matches();
+  const CommGraph& g = q.graph();
+  EXPECT_EQ(g.bytes_between(p1, c1).count(), 200U + 64 + 16 + 64 + 54);
+  EXPECT_EQ(g.bytes_between(p2, c1).count(), 8U + 10);
+  EXPECT_EQ(g.bytes_between(p1, c2).count(), 92U + 64 + 16);
+  EXPECT_EQ(g.bytes_between(p2, c2).count(), 108U);
+  for (const CommEdge& edge : g.edges()) {
+    if (edge.producer == p1 && edge.consumer == c1) {
+      // 200 around the page edge, [0,16), [32,48) and [100,164).
+      EXPECT_EQ(edge.unique_addresses, 200U + 16 + 16 + 64);
+    }
   }
 }
 
-TEST(QuadDeferred, FinalizeIsIdempotentAndAllowsFurtherEagerUse) {
-  QuadProfiler q{ProfileMode::kDeferred};
-  const FunctionId p = q.declare("p");
-  const FunctionId c = q.declare("c");
-  const std::uint64_t addr = q.allocate(64);
-  q.enter(p);
-  q.record_write(addr, 64);
-  q.leave();
-  q.finalize();
-  q.finalize();  // Idempotent.
-  q.enter(c);
-  q.record_read(addr, 64);  // Post-finalize accesses attribute eagerly.
-  q.leave();
-  EXPECT_EQ(q.graph().bytes_between(p, c).count(), 64U);
-  const auto edges = q.graph().edges();
-  ASSERT_EQ(edges.size(), 1U);
-  EXPECT_EQ(edges[0].unique_addresses, 64U);
-}
-
 TEST(QuadSnapshot, RoundTripPreservesDownstreamView) {
-  QuadProfiler q{ProfileMode::kDeferred};
+  QuadProfiler q;
   run_workload(q);
-  q.finalize();
   const ProfileSnapshot snap = q.snapshot();
   const std::unique_ptr<QuadProfiler> restored =
       QuadProfiler::from_snapshot(snap);

@@ -8,8 +8,36 @@
 #include <thread>
 #include <vector>
 
+#include "store/store.hpp"
+#include "sys/batch_runner.hpp"
+#include "tiers/congruence.hpp"
+#include "util/hash.hpp"
+
 namespace hybridic {
 namespace {
+
+// Every value below is persisted somewhere (journal job seeds, congruence
+// keys in the estimate store, store object paths, Rng-driven CSV cells), so
+// a hash refactor must reproduce them exactly.
+TEST(Hash, KnownAnswersMatchPersistedValues) {
+  EXPECT_EQ(sys::job_seed("dse/1/0"), 0x8964b484d851d045ULL);
+  EXPECT_EQ(tiers::congruence_key_of("m:k0=noc;f:noc;e:h0->k0:4096;"),
+            0x4129b4633c6a2aa1ULL);
+  EXPECT_EQ(store::Store::object_name("k"),
+            "1646a86a723daaa3f132d436e9ec324c");
+  Rng rng{42};
+  EXPECT_EQ(rng.next(), 0x15780b2e0c2ec716ULL);
+  EXPECT_EQ(rng.next(), 0x6104d9866d113a7eULL);
+}
+
+TEST(Hash, PublishedTestVectors) {
+  // FNV-1a 64 of "" is the offset basis; "a" from the reference vectors.
+  EXPECT_EQ(fnv1a64(""), kFnv1a64Basis);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  // First output of the reference splitmix64 generator seeded with 0.
+  EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(splitmix64(0), mix64(kSplitmix64Gamma));
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a{123};

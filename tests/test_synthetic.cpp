@@ -167,10 +167,9 @@ SyntheticDataflow reference_dataflow(const SyntheticConfig& cfg) {
 }
 
 /// Run `flow` against tracked buffers and return what the profiler saw.
-prof::ProfileSnapshot tracked_profile(const SyntheticDataflow& flow,
-                                      prof::ProfileMode mode) {
+prof::ProfileSnapshot tracked_profile(const SyntheticDataflow& flow) {
   using prof::TrackedBuffer;
-  prof::QuadProfiler q{mode};
+  prof::QuadProfiler q;
   const std::uint32_t k = flow.kernel_count;
   const auto fn_source = q.declare("source");
   std::vector<prof::FunctionId> kernel_fn(k);
@@ -215,7 +214,6 @@ prof::ProfileSnapshot tracked_profile(const SyntheticDataflow& flow,
     }
     q.add_work(kSyntheticSinkWork);
   }
-  q.finalize();
   return q.snapshot();
 }
 
@@ -272,17 +270,14 @@ void expect_same_dataflow(const SyntheticDataflow& actual,
 }
 
 /// Production against the reference on one config: the dataflow (with its
-/// RNG stream) and the declared profile against a live run in both modes.
+/// RNG stream) and the declared profile against a live tracked run.
 void expect_matches_reference(const SyntheticConfig& config) {
   SCOPED_TRACE("seed " + std::to_string(config.seed) + " kernels " +
                std::to_string(config.kernel_count));
   const SyntheticDataflow flow = generate_synthetic_dataflow(config);
   expect_same_dataflow(flow, reference_dataflow(config));
   const prof::ProfileSnapshot declared = declared_profile(flow);
-  expect_same_snapshot(declared,
-                       tracked_profile(flow, prof::ProfileMode::kEager));
-  expect_same_snapshot(declared,
-                       tracked_profile(flow, prof::ProfileMode::kDeferred));
+  expect_same_snapshot(declared, tracked_profile(flow));
   // make_synthetic_app serves exactly the declared profile.
   const ProfiledApp app = make_synthetic_app(config);
   EXPECT_TRUE(app.profiler->restored());
