@@ -18,6 +18,7 @@
 #include "sys/experiment.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
+#include "util/text.hpp"
 
 namespace hybridic::bench {
 
@@ -42,11 +43,11 @@ inline BenchOptions parse_options(int argc, char** argv) {
       value = argv[++i];
     } else if (arg.rfind("--threads=", 0) == 0) {
       value = arg.substr(std::string("--threads=").size());
-    } else {
+    }
+    if (!text::parse_u64(value, options.threads)) {
       std::cerr << "usage: " << argv[0] << " [--threads N] [--trace]\n";
       std::exit(2);
     }
-    options.threads = static_cast<std::size_t>(std::stoul(value));
   }
   return options;
 }

@@ -36,6 +36,7 @@
 #include "dse/campaign.hpp"
 #include "store/store.hpp"
 #include "util/error.hpp"
+#include "util/text.hpp"
 
 namespace {
 
@@ -154,6 +155,21 @@ void usage(const char* argv0) {
   std::exit(kExitUsage);
 }
 
+/// `v` as a strict decimal (util/text.hpp) in [min, max]; anything else
+/// exits with the usage code, naming `flag`.
+std::uint64_t unsigned_flag(const std::string& flag, const std::string& v,
+                            std::uint64_t min = 0,
+                            std::uint64_t max = UINT64_MAX) {
+  std::uint64_t value = 0;
+  if (!text::parse_u64(v, value) || value < min || value > max) {
+    std::cerr << flag << " expects a "
+              << (min > 0 ? "positive" : "non-negative") << " integer, got '"
+              << v << "'\n";
+    std::exit(kExitUsage);
+  }
+  return value;
+}
+
 Options parse(int argc, char** argv) {
   Options options;
   bool count_given = false;
@@ -190,16 +206,16 @@ Options parse(int argc, char** argv) {
       continue;
     }
     if (std::string v = value_of("--threads"); !v.empty()) {
-      options.threads = static_cast<std::size_t>(std::stoul(v));
+      options.threads = unsigned_flag("--threads", v);
       continue;
     }
     if (std::string v = value_of("--count"); !v.empty()) {
-      options.count = std::stoull(v);
+      options.count = unsigned_flag("--count", v);
       count_given = true;
       continue;
     }
     if (std::string v = value_of("--seed"); !v.empty()) {
-      options.seed = std::stoull(v);
+      options.seed = unsigned_flag("--seed", v);
       continue;
     }
     if (std::string v = value_of("--store"); !v.empty()) {
@@ -211,12 +227,8 @@ Options parse(int argc, char** argv) {
       continue;
     }
     if (std::string v = value_of("--job-timeout"); !v.empty()) {
-      try {
-        options.job_timeout = std::stod(v);
-      } catch (const std::exception&) {
-        options.job_timeout = -1.0;
-      }
-      if (!(options.job_timeout > 0.0)) {
+      if (!text::parse_f64(v, options.job_timeout) ||
+          !(options.job_timeout > 0.0)) {
         std::cerr << "--job-timeout expects a positive number of seconds, "
                      "got '"
                   << v << "'\n";
@@ -226,15 +238,9 @@ Options parse(int argc, char** argv) {
     }
     if (std::string v = value_of("--shard"); !v.empty()) {
       const std::size_t slash = v.find('/');
-      if (slash == std::string::npos || slash == 0 ||
-          slash + 1 >= v.size()) {
-        std::cerr << "--shard expects I/N (e.g. --shard 0/2)\n";
-        std::exit(kExitUsage);
-      }
-      try {
-        options.shard_index = std::stoull(v.substr(0, slash));
-        options.shard_count = std::stoull(v.substr(slash + 1));
-      } catch (const std::exception&) {
+      if (slash == std::string::npos ||
+          !text::parse_u64(v.substr(0, slash), options.shard_index) ||
+          !text::parse_u64(v.substr(slash + 1), options.shard_count)) {
         std::cerr << "--shard expects I/N (e.g. --shard 0/2)\n";
         std::exit(kExitUsage);
       }
@@ -264,43 +270,18 @@ Options parse(int argc, char** argv) {
       continue;
     }
     if (std::string v = value_of("--search-restarts"); !v.empty()) {
-      try {
-        options.search_restarts = static_cast<std::uint32_t>(std::stoul(v));
-      } catch (const std::exception&) {
-        options.search_restarts = 0;
-      }
-      if (options.search_restarts == 0) {
-        std::cerr << "--search-restarts expects a positive integer, got '"
-                  << v << "'\n";
-        std::exit(kExitUsage);
-      }
+      options.search_restarts = static_cast<std::uint32_t>(
+          unsigned_flag("--search-restarts", v, 1, UINT32_MAX));
       continue;
     }
     if (std::string v = value_of("--search-iterations"); !v.empty()) {
-      try {
-        options.search_iterations =
-            static_cast<std::uint32_t>(std::stoul(v));
-      } catch (const std::exception&) {
-        options.search_iterations = 0;
-      }
-      if (options.search_iterations == 0) {
-        std::cerr << "--search-iterations expects a positive integer, got '"
-                  << v << "'\n";
-        std::exit(kExitUsage);
-      }
+      options.search_iterations = static_cast<std::uint32_t>(
+          unsigned_flag("--search-iterations", v, 1, UINT32_MAX));
       continue;
     }
     if (std::string v = value_of("--boards"); !v.empty()) {
-      try {
-        options.boards = static_cast<std::uint32_t>(std::stoul(v));
-      } catch (const std::exception&) {
-        options.boards = 0;
-      }
-      if (options.boards == 0) {
-        std::cerr << "--boards expects a positive integer, got '" << v
-                  << "'\n";
-        std::exit(kExitUsage);
-      }
+      options.boards = static_cast<std::uint32_t>(
+          unsigned_flag("--boards", v, 1, UINT32_MAX));
       continue;
     }
     if (std::string v = value_of("--board-topology"); !v.empty()) {
@@ -363,7 +344,8 @@ int main(int argc, char** argv) {
   // exercising the watchdog/quarantine path from the real binary. The
   // abandoned thread sleeps until process exit.
   if (const char* wedge_env = std::getenv("HYBRIDIC_WEDGE_INDEX")) {
-    const std::uint64_t wedge_index = std::stoull(wedge_env);
+    const std::uint64_t wedge_index =
+        unsigned_flag("HYBRIDIC_WEDGE_INDEX", wedge_env);
     campaign.job_started_hook = [wedge_index](std::uint64_t index) {
       while (index == wedge_index) {
         std::this_thread::sleep_for(std::chrono::seconds(3600));

@@ -24,6 +24,7 @@
 #include "core/interconnect_design.hpp"
 #include "noc/topology.hpp"
 #include "sys/crossbar_system.hpp"
+#include "util/text.hpp"
 
 namespace {
 
@@ -47,11 +48,11 @@ CampaignOptions parse_campaign_options(int argc, char** argv) {
       value = argv[++i];
     } else if (arg.rfind("--threads=", 0) == 0) {
       value = arg.substr(std::string("--threads=").size());
-    } else {
+    }
+    if (!text::parse_u64(value, options.threads)) {
       std::cerr << "usage: " << argv[0] << " [--threads N] [--smoke]\n";
       std::exit(2);
     }
-    options.threads = static_cast<std::size_t>(std::stoul(value));
   }
   return options;
 }

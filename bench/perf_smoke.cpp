@@ -38,6 +38,7 @@
 #include "sys/batch_runner.hpp"
 #include "sys/experiment.hpp"
 #include "tiers/tiered_evaluator.hpp"
+#include "util/text.hpp"
 
 namespace {
 
@@ -210,11 +211,11 @@ int main(int argc, char** argv) {
       value = argv[++i];
     } else if (arg.rfind("--dse-count=", 0) == 0) {
       value = arg.substr(std::string{"--dse-count="}.size());
-    } else {
+    }
+    if (!text::parse_u64(value, dse_count)) {
       std::cerr << "usage: " << argv[0] << " [--dse-count N]\n";
       return 2;
     }
-    dse_count = std::stoull(value);
   }
   const unsigned hw_threads = std::max(1U, std::thread::hardware_concurrency());
   std::cout << "perf_smoke: profiler / NoC / bus micro-workloads + "

@@ -35,6 +35,7 @@
 #include "search/anneal.hpp"
 #include "sys/experiment.hpp"
 #include "util/csv.hpp"
+#include "util/text.hpp"
 
 #include <algorithm>
 #include <limits>
@@ -61,11 +62,11 @@ Options parse_options(int argc, char** argv) {
       value = argv[++i];
     } else if (arg.rfind("--threads=", 0) == 0) {
       value = arg.substr(std::string("--threads=").size());
-    } else {
+    }
+    if (!text::parse_u64(value, options.threads)) {
       std::cerr << "usage: " << argv[0] << " [--smoke] [--threads N]\n";
       std::exit(2);
     }
-    options.threads = static_cast<std::size_t>(std::stoul(value));
   }
   return options;
 }

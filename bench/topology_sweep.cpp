@@ -30,6 +30,7 @@
 #include "sys/board_net.hpp"
 #include "sys/multi_board.hpp"
 #include "tiers/analytic.hpp"
+#include "util/text.hpp"
 
 namespace {
 
@@ -53,11 +54,11 @@ SweepOptions parse_sweep_options(int argc, char** argv) {
       value = argv[++i];
     } else if (arg.rfind("--threads=", 0) == 0) {
       value = arg.substr(std::string("--threads=").size());
-    } else {
+    }
+    if (!text::parse_u64(value, options.threads)) {
       std::cerr << "usage: " << argv[0] << " [--threads N] [--smoke]\n";
       std::exit(2);
     }
-    options.threads = static_cast<std::size_t>(std::stoul(value));
   }
   return options;
 }

@@ -4,7 +4,6 @@
 // run on your own workload.
 //
 // Build and run:  ./build/examples/design_explorer [seed]
-#include <cstdlib>
 #include <iostream>
 
 #include "util/table.hpp"
@@ -12,14 +11,17 @@
 #include "core/interconnect_design.hpp"
 #include "core/resource_model.hpp"
 #include "sys/experiment.hpp"
+#include "util/text.hpp"
 
 using namespace hybridic;
 
 int main(int argc, char** argv) {
   apps::SyntheticConfig app_config;
-  app_config.seed = argc > 1
-                        ? static_cast<std::uint64_t>(std::atoll(argv[1]))
-                        : 7;
+  app_config.seed = 7;
+  if (argc > 1 && !text::parse_u64(argv[1], app_config.seed)) {
+    std::cerr << "usage: " << argv[0] << " [seed]\n";
+    return 2;
+  }
   app_config.kernel_count = 8;
   app_config.duplicable_probability = 0.4;
 

@@ -50,6 +50,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apps/app.hpp"
@@ -72,6 +73,7 @@
 #include "tiers/tiered_evaluator.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
+#include "util/text.hpp"
 
 using namespace hybridic;
 
@@ -89,32 +91,16 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Strict unsigned parse: the whole string must be digits (no atoi
-/// silently-zero behaviour for "abc" or trailing junk for "12abc").
-std::uint64_t parse_u64(const std::string& text, const std::string& what) {
-  if (text.empty()) {
-    throw UsageError{what + " is empty"};
-  }
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      throw UsageError{what + " '" + text + "' is not a non-negative integer"};
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
-double parse_rate(const std::string& text) {
-  std::size_t consumed = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &consumed);
-  } catch (const std::exception&) {
-    throw UsageError{"--fault-rate '" + text + "' is not a number"};
-  }
-  if (consumed != text.size()) {
-    throw UsageError{"--fault-rate '" + text + "' has trailing characters"};
+/// `text` read by one of the strict util/text.hpp parsers, or a UsageError
+/// naming `what`.
+template <typename Text, typename T>
+T parse_arg(bool (*parse)(Text, T&), const std::string& text,
+            const std::string& what) {
+  T value{};
+  if (!parse(text, value)) {
+    throw UsageError{what + " '" + text + "' is not " +
+                     (std::is_floating_point_v<T> ? "a number"
+                                                  : "a non-negative integer")};
   }
   return value;
 }
@@ -148,8 +134,10 @@ CliOptions parse_cli(int argc, char** argv) {
   if (kKnownApps.count(options.app_spec) == 0) {
     if (options.app_spec.rfind("synthetic:", 0) == 0) {
       // Validate the seed now; the value is re-read in load_app.
-      (void)parse_u64(options.app_spec.substr(std::string{"synthetic:"}.size()),
-                      "synthetic seed");
+      (void)parse_arg(
+          text::parse_u64,
+          options.app_spec.substr(std::string{"synthetic:"}.size()),
+          "synthetic seed");
     } else {
       throw UsageError{"unknown app '" + options.app_spec +
                        "' (expected canny|jpeg|klt|fluid|synthetic:SEED)"};
@@ -158,14 +146,17 @@ CliOptions parse_cli(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--frames=", 0) == 0) {
-      options.frames = static_cast<std::uint32_t>(parse_u64(
-          arg.substr(std::string{"--frames="}.size()), "--frames"));
+      options.frames = parse_arg(
+          text::parse_u32, arg.substr(std::string{"--frames="}.size()),
+          "--frames");
     } else if (arg.rfind("--fault-rate=", 0) == 0) {
-      options.fault_rate =
-          parse_rate(arg.substr(std::string{"--fault-rate="}.size()));
+      options.fault_rate = parse_arg(
+          text::parse_f64, arg.substr(std::string{"--fault-rate="}.size()),
+          "--fault-rate");
     } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      options.fault_seed = parse_u64(
-          arg.substr(std::string{"--fault-seed="}.size()), "--fault-seed");
+      options.fault_seed = parse_arg(
+          text::parse_u64, arg.substr(std::string{"--fault-seed="}.size()),
+          "--fault-seed");
     } else if (arg.rfind("--tier=", 0) == 0) {
       const std::string value = arg.substr(std::string{"--tier="}.size());
       const auto mode = tiers::parse_tier_mode(value);
@@ -180,8 +171,9 @@ CliOptions parse_cli(int argc, char** argv) {
         throw UsageError{"--store needs a directory path"};
       }
     } else if (arg.rfind("--boards=", 0) == 0) {
-      options.boards = static_cast<std::uint32_t>(parse_u64(
-          arg.substr(std::string{"--boards="}.size()), "--boards"));
+      options.boards = parse_arg(
+          text::parse_u32, arg.substr(std::string{"--boards="}.size()),
+          "--boards");
       if (options.boards == 0) {
         throw UsageError{"--boards must be >= 1"};
       }
@@ -216,8 +208,9 @@ std::shared_ptr<const apps::ProfiledApp> load_app(
   }
   if (spec.rfind("synthetic:", 0) == 0) {
     apps::SyntheticConfig config;
-    config.seed =
-        parse_u64(spec.substr(std::string{"synthetic:"}.size()), "seed");
+    config.seed = parse_arg(
+        text::parse_u64, spec.substr(std::string{"synthetic:"}.size()),
+        "seed");
     return cache.synthetic_app(config);
   }
   return cache.paper_app(spec);

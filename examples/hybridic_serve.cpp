@@ -6,13 +6,15 @@
 // process is long-lived: the profile cache and the tiered evaluator stay
 // warm across requests, so repeated shapes are served from memory.
 //
-// Request fields (all optional; unknown keys are usage errors):
-//   id               echoed verbatim in the response
+// Each line is one strict JSON object (util/text.hpp: no duplicate keys,
+// JSON number grammar, CR/LF/space/tab whitespace). Request fields (all
+// optional; unknown keys and ill-typed values are usage errors):
+//   id               echoed in every reply to a line that parses
 //   op               "design" (default) | "search" | "stats"
-//   seed, kernels, hosts, boards          integers
+//   seed, kernels, hosts, boards          unsigned integers (digits only)
 //   edge_p, dup_p, stream_p               probabilities in [0, 1]
-//   min_edge_bytes, max_edge_bytes        integers
-//   min_work, max_work                    integers
+//   min_edge_bytes, max_edge_bytes        unsigned integers
+//   min_work, max_work                    unsigned integers
 //   board_topology   chain | ring | mesh
 //   tier             analytic (default) | cycle
 //   restarts, iterations   annealer knobs ("search" requests only)
@@ -34,14 +36,12 @@
 // Shutdown: EOF on stdin, SIGINT or SIGTERM. The server finishes the
 // in-flight request, prints its counters to stderr and exits 0.
 #include <atomic>
-#include <cctype>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <string>
 
@@ -54,6 +54,7 @@
 #include "sys/experiment.hpp"
 #include "tiers/tiered_evaluator.hpp"
 #include "util/error.hpp"
+#include "util/text.hpp"
 
 namespace {
 
@@ -75,188 +76,6 @@ void install_signal_handlers() {
   sa.sa_flags = 0;
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// Minimal strict JSON: one flat object of string / number / bool values.
-// Anything else (arrays, nesting, null, trailing junk) is a usage error —
-// the protocol is deliberately narrow so damage is rejected, not guessed
-// at.
-
-struct JsonValue {
-  enum class Kind { kString, kNumber, kBool } kind = Kind::kString;
-  std::string text;  ///< Raw text: decoded string, number spelling, 0/1.
-};
-
-class FlatJsonParser {
-public:
-  explicit FlatJsonParser(const std::string& line) : text_(line) {}
-
-  /// Parse into `out`; on failure returns false and sets `error`.
-  bool parse(std::map<std::string, JsonValue>& out, std::string& error) {
-    skip_ws();
-    if (!take('{')) {
-      error = "expected '{'";
-      return false;
-    }
-    skip_ws();
-    if (take('}')) {
-      return finish(error);
-    }
-    while (true) {
-      std::string key;
-      if (!parse_string(key)) {
-        error = "expected a string key";
-        return false;
-      }
-      skip_ws();
-      if (!take(':')) {
-        error = "expected ':' after key \"" + key + "\"";
-        return false;
-      }
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) {
-        error = "bad value for key \"" + key + "\"";
-        return false;
-      }
-      if (!out.emplace(key, std::move(value)).second) {
-        error = "duplicate key \"" + key + "\"";
-        return false;
-      }
-      skip_ws();
-      if (take(',')) {
-        skip_ws();
-        continue;
-      }
-      if (take('}')) {
-        return finish(error);
-      }
-      error = "expected ',' or '}'";
-      return false;
-    }
-  }
-
-private:
-  bool finish(std::string& error) {
-    skip_ws();
-    if (pos_ != text_.size()) {
-      error = "trailing characters after '}'";
-      return false;
-    }
-    return true;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool take(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_string(std::string& out) {
-    if (!take('"')) {
-      return false;
-    }
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          return false;
-        }
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          default: return false;  // \uXXXX et al: out of protocol.
-        }
-        continue;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return false;
-      }
-      out.push_back(c);
-    }
-    return false;
-  }
-
-  bool parse_value(JsonValue& out) {
-    if (pos_ < text_.size() && text_[pos_] == '"') {
-      out.kind = JsonValue::Kind::kString;
-      return parse_string(out.text);
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      out = {JsonValue::Kind::kBool, "1"};
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      out = {JsonValue::Kind::kBool, "0"};
-      return true;
-    }
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
-    bool digits = false;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      digits = digits ||
-               std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0;
-      ++pos_;
-    }
-    if (!digits) {
-      return false;
-    }
-    out.kind = JsonValue::Kind::kNumber;
-    out.text = text_.substr(start, pos_ - start);
-    return true;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 std::string json_number(double value) {
@@ -291,7 +110,7 @@ std::string error_body(const Taxonomy& taxonomy, const std::string& message) {
   std::ostringstream out;
   out << "\"ok\":false,\"error\":\"" << taxonomy.error
       << "\",\"exit_code\":" << taxonomy.exit_code << ",\"message\":\""
-      << json_escape(message) << "\"}";
+      << text::json_escape(message) << "\"}";
   return out.str();
 }
 
@@ -316,92 +135,62 @@ struct Request {
   std::uint32_t search_iterations = 60;
 };
 
-bool parse_u64_field(const JsonValue& v, std::uint64_t& out) {
-  if (v.kind != JsonValue::Kind::kNumber) {
-    return false;
-  }
-  try {
-    std::size_t used = 0;
-    out = std::stoull(v.text, &used);
-    return used == v.text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool parse_u32_field(const JsonValue& v, std::uint32_t& out) {
-  std::uint64_t wide = 0;
-  if (!parse_u64_field(v, wide) || wide > UINT32_MAX) {
-    return false;
-  }
-  out = static_cast<std::uint32_t>(wide);
-  return true;
-}
-
-bool parse_double_field(const JsonValue& v, double& out) {
-  if (v.kind != JsonValue::Kind::kNumber) {
-    return false;
-  }
-  try {
-    std::size_t used = 0;
-    out = std::stod(v.text, &used);
-    return used == v.text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
 /// Decode one parsed object into a Request; returns false with a usage
-/// message on any unknown key or ill-typed value.
-bool decode_request(const std::map<std::string, JsonValue>& fields,
-                    Request& request, std::string& error) {
+/// message on any unknown key or ill-typed value. The id is decoded first,
+/// so every usage reply echoes it.
+bool decode_request(const text::JsonObject& fields, Request& request,
+                    std::string& error) {
+  const auto id = fields.find("id");
+  if (id != fields.end() && !id->second.as_string(request.id)) {
+    error = "bad value for key \"id\"";
+    return false;
+  }
   for (const auto& [key, value] : fields) {
     bool ok = true;
+    std::string word;
     if (key == "id") {
-      ok = value.kind == JsonValue::Kind::kString;
-      request.id = value.text;
+      continue;
     } else if (key == "op") {
-      if (value.text == "stats") {
-        request.stats = true;
-      } else if (value.text == "search") {
-        request.search = true;
-      } else {
-        ok = value.text == "design";
-      }
+      ok = value.as_string(word) &&
+           (word == "design" || word == "search" || word == "stats");
+      request.stats = word == "stats";
+      request.search = word == "search";
     } else if (key == "restarts") {
-      ok = parse_u32_field(value, request.search_restarts) &&
+      ok = value.as_u32(request.search_restarts) &&
            request.search_restarts > 0;
     } else if (key == "iterations") {
-      ok = parse_u32_field(value, request.search_iterations) &&
+      ok = value.as_u32(request.search_iterations) &&
            request.search_iterations > 0;
     } else if (key == "seed") {
-      ok = parse_u64_field(value, request.config.seed);
+      ok = value.as_u64(request.config.seed);
     } else if (key == "kernels") {
-      ok = parse_u32_field(value, request.config.kernel_count);
+      ok = value.as_u32(request.config.kernel_count);
     } else if (key == "hosts") {
-      ok = parse_u32_field(value, request.config.host_function_count);
+      ok = value.as_u32(request.config.host_function_count);
     } else if (key == "boards") {
-      ok = parse_u32_field(value, request.config.board_count);
+      ok = value.as_u32(request.config.board_count);
     } else if (key == "edge_p") {
-      ok = parse_double_field(value, request.config.kernel_edge_probability);
+      ok = value.as_f64(request.config.kernel_edge_probability);
     } else if (key == "dup_p") {
-      ok = parse_double_field(value, request.config.duplicable_probability);
+      ok = value.as_f64(request.config.duplicable_probability);
     } else if (key == "stream_p") {
-      ok = parse_double_field(value, request.config.streaming_probability);
+      ok = value.as_f64(request.config.streaming_probability);
     } else if (key == "min_edge_bytes") {
-      ok = parse_u64_field(value, request.config.min_edge_bytes);
+      ok = value.as_u64(request.config.min_edge_bytes);
     } else if (key == "max_edge_bytes") {
-      ok = parse_u64_field(value, request.config.max_edge_bytes);
+      ok = value.as_u64(request.config.max_edge_bytes);
     } else if (key == "min_work") {
-      ok = parse_u64_field(value, request.config.min_work_units);
+      ok = value.as_u64(request.config.min_work_units);
     } else if (key == "max_work") {
-      ok = parse_u64_field(value, request.config.max_work_units);
+      ok = value.as_u64(request.config.max_work_units);
     } else if (key == "board_topology") {
-      ok = value.text == "chain" || value.text == "ring" ||
-           value.text == "mesh";
-      request.config.board_topology = value.text;
+      ok = value.as_string(word) &&
+           (word == "chain" || word == "ring" || word == "mesh");
+      request.config.board_topology = word;
     } else if (key == "tier") {
-      const auto mode = tiers::parse_tier_mode(value.text);
+      const auto mode = value.as_string(word)
+                            ? tiers::parse_tier_mode(word)
+                            : std::nullopt;
       // Auto is a campaign concept (batch-ranked escalation); a single
       // request picks its tier explicitly.
       ok = mode.has_value() && *mode != tiers::TierMode::kAuto;
@@ -409,7 +198,7 @@ bool decode_request(const std::map<std::string, JsonValue>& fields,
         request.tier = *mode;
       }
     } else if (key == "timeout_s") {
-      ok = parse_double_field(value, request.timeout_seconds) &&
+      ok = value.as_f64(request.timeout_seconds) &&
            request.timeout_seconds >= 0.0;
     } else {
       error = "unknown key \"" + key + "\"";
@@ -441,7 +230,7 @@ ServeReply run_design(const Request& request,
       const tiers::TierEstimate estimate =
           evaluator.estimate(c.schedule, c.exp.proposed_design);
       out << ",\"solution\":\""
-          << json_escape(c.exp.proposed_design.solution_tag())
+          << text::json_escape(c.exp.proposed_design.solution_tag())
           << "\",\"baseline_s\":" << json_number(c.exp.baseline.total_seconds)
           << ",\"designed_s\":" << json_number(c.exp.proposed.total_seconds)
           << ",\"crossbar_s\":" << json_number(c.crossbar.total_seconds)
@@ -453,7 +242,7 @@ ServeReply run_design(const Request& request,
       tiers::AnalyticCase analytic =
           evaluator.analyze(request.config, &cache);
       out << ",\"solution\":\""
-          << json_escape(analytic.proposed.solution_tag())
+          << text::json_escape(analytic.proposed.solution_tag())
           << "\",\"analytic_baseline_s\":"
           << json_number(analytic.estimate.baseline_kernel_seconds)
           << ",\"analytic_designed_s\":"
@@ -501,7 +290,7 @@ ServeReply run_search(const Request& request,
     const search::SearchRecord record = result.record();
     std::ostringstream out;
     out << "\"ok\":true,\"tier\":\"" << tiers::to_string(request.tier)
-        << "\",\"solution\":\"" << json_escape(record.solution_tag)
+        << "\",\"solution\":\"" << text::json_escape(record.solution_tag)
         << "\",\"searched_analytic_s\":"
         << json_number(record.analytic_seconds) << ",\"alg1_analytic_s\":"
         << json_number(record.algorithm1_analytic_seconds)
@@ -573,14 +362,13 @@ int main(int argc, char** argv) {
     }
     ++counters.requests;
 
-    std::map<std::string, JsonValue> fields;
+    text::FlatJson doc;
     Request request;
     std::string parse_error;
-    FlatJsonParser parser{line};
-    if (!parser.parse(fields, parse_error) ||
-        !decode_request(fields, request, parse_error)) {
+    if (!text::parse_flat_json(line, doc, parse_error) ||
+        !decode_request(doc.fields, request, parse_error)) {
       ++counters.failed;
-      std::cout << "{\"id\":\"" << json_escape(request.id) << "\","
+      std::cout << "{\"id\":\"" << text::json_escape(request.id) << "\","
                 << error_body(kUsage, parse_error) << "\n"
                 << std::flush;
       continue;
@@ -588,7 +376,7 @@ int main(int argc, char** argv) {
 
     if (request.stats) {
       ++counters.served;
-      std::cout << "{\"id\":\"" << json_escape(request.id)
+      std::cout << "{\"id\":\"" << text::json_escape(request.id)
                 << "\",\"ok\":true,\"requests\":" << counters.requests
                 << ",\"served\":" << counters.served
                 << ",\"failed\":" << counters.failed
@@ -636,7 +424,7 @@ int main(int argc, char** argv) {
         tail = error_body(kInternal, outcome.error);
         break;
     }
-    std::cout << "{\"id\":\"" << json_escape(request.id) << "\"," << tail
+    std::cout << "{\"id\":\"" << text::json_escape(request.id) << "\"," << tail
               << "\n"
               << std::flush;
   }

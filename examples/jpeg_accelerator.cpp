@@ -4,22 +4,21 @@
 // mapping), and compare all four system variants.
 //
 // Build and run:  ./build/examples/jpeg_accelerator [width] [height]
-#include <cstdlib>
 #include <iostream>
 
 #include "util/table.hpp"
 #include "apps/jpeg.hpp"
 #include "sys/experiment.hpp"
+#include "util/text.hpp"
 
 using namespace hybridic;
 
 int main(int argc, char** argv) {
   apps::JpegConfig config;
-  if (argc > 1) {
-    config.width = static_cast<std::uint32_t>(std::atoi(argv[1]));
-  }
-  if (argc > 2) {
-    config.height = static_cast<std::uint32_t>(std::atoi(argv[2]));
+  if ((argc > 1 && !text::parse_u32(argv[1], config.width)) ||
+      (argc > 2 && !text::parse_u32(argv[2], config.height))) {
+    std::cerr << "usage: " << argv[0] << " [width] [height]\n";
+    return 2;
   }
 
   std::cout << "decoding a " << config.width << "x" << config.height

@@ -4,19 +4,22 @@
 // including the paper's future-work idea of reconfiguring it at runtime.
 //
 // Build and run:  ./build/examples/multi_app_reconfig [frames-per-mode]
-#include <cstdlib>
 #include <iostream>
 
 #include "apps/canny.hpp"
 #include "apps/klt.hpp"
 #include "reconfig/multi_app.hpp"
 #include "util/table.hpp"
+#include "util/text.hpp"
 
 using namespace hybridic;
 
 int main(int argc, char** argv) {
-  const std::uint32_t frames_per_mode =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 25;
+  std::uint32_t frames_per_mode = 25;
+  if (argc > 1 && !text::parse_u32(argv[1], frames_per_mode)) {
+    std::cerr << "usage: " << argv[0] << " [frames-per-mode]\n";
+    return 2;
+  }
 
   std::cout << "profiling both camera modes...\n";
   const apps::ProfiledApp canny = apps::run_canny(apps::CannyConfig{});

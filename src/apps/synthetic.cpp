@@ -16,8 +16,19 @@ void validate_synthetic_config(const SyntheticConfig& cfg) {
             std::string{"SyntheticConfig."} + field +
                 " must be in [0, 1], got " + std::to_string(p));
   };
+  const auto at_most = [](std::uint64_t value, std::uint64_t bound,
+                          const char* field) {
+    if (value > bound) {
+      throw ConfigError{std::string{"SyntheticConfig."} + field +
+                        " must be <= " + std::to_string(bound) + ", got " +
+                        std::to_string(value)};
+    }
+  };
   require(cfg.kernel_count >= 1,
           "SyntheticConfig.kernel_count must be >= 1, got 0");
+  at_most(cfg.kernel_count, kMaxSyntheticKernels, "kernel_count");
+  at_most(cfg.max_edge_bytes, kMaxSyntheticEdgeBytes, "max_edge_bytes");
+  at_most(cfg.max_work_units, kMaxSyntheticWorkUnits, "max_work_units");
   require(cfg.min_edge_bytes >= 1,
           "SyntheticConfig.min_edge_bytes must be >= 1, got 0");
   require(cfg.min_edge_bytes <= cfg.max_edge_bytes,

@@ -31,8 +31,17 @@ struct SyntheticConfig {
   std::string board_topology = "chain";  ///< chain | ring | mesh.
 };
 
-/// Validate `config` bounds: kernel_count >= 1, min <= max for edge bytes
-/// and work units, all probabilities in [0, 1], and non-zero edge bytes
+/// Upper bounds of a valid config. Every in-repo config stays far below
+/// them (<= 10 kernels, <= 1 MiB edges); they exist so a hostile request
+/// or reproducer is rejected before the generator allocates its k x k
+/// edge table or models byte counts no board could move.
+inline constexpr std::uint32_t kMaxSyntheticKernels = 256;
+inline constexpr std::uint64_t kMaxSyntheticEdgeBytes = 1ULL << 40;
+inline constexpr std::uint64_t kMaxSyntheticWorkUnits = 1ULL << 40;
+
+/// Validate `config` bounds: 1 <= kernel_count <= kMaxSyntheticKernels,
+/// min <= max <= kMaxSynthetic{EdgeBytes,WorkUnits} for edge bytes and
+/// work units, all probabilities in [0, 1], and non-zero edge bytes
 /// (kernels must be able to communicate). Throws ConfigError naming the
 /// offending field.
 void validate_synthetic_config(const SyntheticConfig& config);

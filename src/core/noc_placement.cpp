@@ -1,7 +1,6 @@
 #include "core/noc_placement.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "util/error.hpp"
@@ -137,46 +136,6 @@ PlacementResult place_attachments(const PlacementProblem& problem) {
   while (improve_once(traffic, mesh, node_of, cost)) {
   }
   return PlacementResult{mesh, std::move(node_of), cost};
-}
-
-PlacementResult place_attachments_annealed(const PlacementProblem& problem,
-                                           std::uint64_t seed,
-                                           std::uint32_t iterations) {
-  PlacementResult best = place_attachments(problem);
-  if (problem.attachment_count < 3) {
-    return best;
-  }
-  const TrafficMatrix traffic{problem};
-  Rng rng{seed};
-  std::vector<std::uint32_t> current = best.node_of;
-  std::uint64_t current_cost = best.cost;
-  double temperature =
-      static_cast<double>(std::max<std::uint64_t>(best.cost, 1));
-
-  for (std::uint32_t i = 0; i < iterations; ++i) {
-    const auto a =
-        static_cast<std::uint32_t>(rng.below(problem.attachment_count));
-    auto b = static_cast<std::uint32_t>(rng.below(problem.attachment_count));
-    if (a == b) {
-      b = (b + 1) % problem.attachment_count;
-    }
-    std::swap(current[a], current[b]);
-    const std::uint64_t candidate = cost_of(traffic, best.mesh, current);
-    const double delta = static_cast<double>(candidate) -
-                         static_cast<double>(current_cost);
-    if (delta <= 0.0 ||
-        rng.uniform() < std::exp(-delta / std::max(temperature, 1e-9))) {
-      current_cost = candidate;
-      if (current_cost < best.cost) {
-        best.cost = current_cost;
-        best.node_of = current;
-      }
-    } else {
-      std::swap(current[a], current[b]);
-    }
-    temperature *= 0.9995;
-  }
-  return best;
 }
 
 }  // namespace hybridic::core

@@ -1,156 +1,29 @@
 #include "dse/reproducer.hpp"
 
-#include <cctype>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "dse/case_runner.hpp"
 #include "util/error.hpp"
+#include "util/text.hpp"
 
 namespace hybridic::dse {
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += ch;
-    }
-  }
-  return out;
-}
-
-/// Minimal parser for the flat reproducer schema: one object of scalars
-/// plus one nested "config" object of numeric scalars. Not a general JSON
-/// parser — exactly what the fixture files need, with precise errors.
-class FlatJsonParser {
-public:
-  explicit FlatJsonParser(const std::string& text) : text_(text) {}
-
-  /// Top-level scalars (strings kept verbatim, numbers as written).
-  std::map<std::string, std::string> scalars;
-  /// The nested config object's numeric fields.
-  std::map<std::string, std::string> config;
-
-  void parse() {
-    skip_ws();
-    expect('{');
-    parse_members(scalars, /*allow_nested_config=*/true);
-    skip_ws();
-    require(pos_ >= text_.size(), "trailing characters after reproducer");
-  }
-
-private:
-  void parse_members(std::map<std::string, std::string>& into,
-                     bool allow_nested_config) {
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      skip_ws();
-      const std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      if (peek() == '{') {
-        require(allow_nested_config && key == "config",
-                "unexpected nested object at key '" + key + "'");
-        ++pos_;
-        parse_members(config, /*allow_nested_config=*/false);
-      } else if (peek() == '"') {
-        into[key] = parse_string();
-      } else {
-        into[key] = parse_number();
-      }
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char ch = text_[pos_++];
-      if (ch == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': ch = '\n'; break;
-          case 't': ch = '\t'; break;
-          default: ch = esc;
-        }
-      }
-      out += ch;
-    }
-    expect('"');
-    return out;
-  }
-
-  std::string parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    require(pos_ > start, "expected a number at offset " +
-                              std::to_string(start));
-    return text_.substr(start, pos_ - start);
-  }
-
-  char peek() const {
-    require(pos_ < text_.size(), "unexpected end of reproducer JSON");
-    return text_[pos_];
-  }
-
-  void expect(char ch) {
-    require(pos_ < text_.size() && text_[pos_] == ch,
-            std::string{"expected '"} + ch + "' at offset " +
-                std::to_string(pos_) + " of reproducer JSON");
-    ++pos_;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-std::uint64_t take_u64(std::map<std::string, std::string>& fields,
-                       const std::string& key) {
+/// Parse `key` out of `fields` with the typed view `as` and remove it;
+/// ConfigError naming the field when it is absent or does not parse.
+template <typename T>
+void take(text::JsonObject& fields, const std::string& key,
+          bool (text::JsonValue::*as)(T&) const, T& out) {
   const auto it = fields.find(key);
-  require(it != fields.end(), "reproducer config missing field: " + key);
-  const std::uint64_t value = std::stoull(it->second);
+  if (it == fields.end()) {
+    throw ConfigError{"reproducer missing field: " + key};
+  }
+  if (!(it->second.*as)(out)) {
+    throw ConfigError{"reproducer field " + key + " is malformed: '" +
+                      it->second.text + "'"};
+  }
   fields.erase(it);
-  return value;
-}
-
-double take_double(std::map<std::string, std::string>& fields,
-                   const std::string& key) {
-  const auto it = fields.find(key);
-  require(it != fields.end(), "reproducer config missing field: " + key);
-  const double value = std::stod(it->second);
-  fields.erase(it);
-  return value;
 }
 
 std::string fmt_probability(double v) {
@@ -166,10 +39,10 @@ std::string to_json(const Reproducer& r) {
   std::ostringstream out;
   out << "{\n";
   out << "  \"schema\": " << r.schema << ",\n";
-  out << "  \"oracle\": \"" << json_escape(r.oracle) << "\",\n";
+  out << "  \"oracle\": \"" << text::json_escape(r.oracle) << "\",\n";
   out << "  \"expect\": \""
       << (r.expect == Expectation::kFail ? "fail" : "pass") << "\",\n";
-  out << "  \"message\": \"" << json_escape(r.message) << "\",\n";
+  out << "  \"message\": \"" << text::json_escape(r.message) << "\",\n";
   out << "  \"config\": {\n";
   out << "    \"kernel_count\": " << r.config.kernel_count << ",\n";
   out << "    \"host_function_count\": " << r.config.host_function_count
@@ -189,8 +62,8 @@ std::string to_json(const Reproducer& r) {
   // historical byte-exact shape.
   if (r.config.board_count > 1) {
     out << "    \"board_count\": " << r.config.board_count << ",\n";
-    out << "    \"board_topology\": \"" << json_escape(r.config.board_topology)
-        << "\",\n";
+    out << "    \"board_topology\": \""
+        << text::json_escape(r.config.board_topology) << "\",\n";
   }
   out << "    \"seed\": " << r.config.seed << "\n";
   out << "  }\n";
@@ -199,58 +72,60 @@ std::string to_json(const Reproducer& r) {
 }
 
 Reproducer parse_reproducer(const std::string& json) {
-  FlatJsonParser parser{json};
-  parser.parse();
+  using text::JsonValue;
+  text::FlatJson doc;
+  std::string error;
+  require(text::parse_flat_json(json, doc, error),
+          "malformed reproducer JSON: " + error);
 
   Reproducer r;
-  require(parser.scalars.count("schema") != 0,
-          "reproducer missing field: schema");
-  r.schema = static_cast<int>(std::stol(parser.scalars.at("schema")));
-  require(r.schema == 1, "unsupported reproducer schema version: " +
-                             std::to_string(r.schema));
-  require(parser.scalars.count("oracle") != 0,
-          "reproducer missing field: oracle");
-  r.oracle = parser.scalars.at("oracle");
-  require(parser.scalars.count("expect") != 0,
-          "reproducer missing field: expect");
-  const std::string expect = parser.scalars.at("expect");
+  std::uint32_t schema = 0;
+  take(doc.fields, "schema", &JsonValue::as_u32, schema);
+  require(schema == 1, "unsupported reproducer schema version: " +
+                           std::to_string(schema));
+  take(doc.fields, "oracle", &JsonValue::as_string, r.oracle);
+  std::string expect;
+  take(doc.fields, "expect", &JsonValue::as_string, expect);
   require(expect == "pass" || expect == "fail",
           "reproducer expect must be \"pass\" or \"fail\", got \"" + expect +
               "\"");
   r.expect = expect == "fail" ? Expectation::kFail : Expectation::kPass;
-  if (parser.scalars.count("message") != 0) {
-    r.message = parser.scalars.at("message");
+  if (doc.fields.count("message") != 0) {
+    take(doc.fields, "message", &JsonValue::as_string, r.message);
   }
+  const auto config_it = doc.fields.find("config");
+  require(config_it != doc.fields.end() &&
+              config_it->second.kind == JsonValue::Kind::kObject,
+          "reproducer missing object: config");
 
-  std::map<std::string, std::string> config = parser.config;
-  r.config.kernel_count =
-      static_cast<std::uint32_t>(take_u64(config, "kernel_count"));
-  r.config.host_function_count =
-      static_cast<std::uint32_t>(take_u64(config, "host_function_count"));
-  r.config.kernel_edge_probability =
-      take_double(config, "kernel_edge_probability");
-  r.config.min_edge_bytes = take_u64(config, "min_edge_bytes");
-  r.config.max_edge_bytes = take_u64(config, "max_edge_bytes");
-  r.config.min_work_units = take_u64(config, "min_work_units");
-  r.config.max_work_units = take_u64(config, "max_work_units");
-  r.config.duplicable_probability =
-      take_double(config, "duplicable_probability");
-  r.config.streaming_probability =
-      take_double(config, "streaming_probability");
+  text::JsonObject& config = doc.nested;
+  apps::SyntheticConfig& c = r.config;
+  take(config, "kernel_count", &JsonValue::as_u32, c.kernel_count);
+  take(config, "host_function_count", &JsonValue::as_u32,
+       c.host_function_count);
+  take(config, "kernel_edge_probability", &JsonValue::as_f64,
+       c.kernel_edge_probability);
+  take(config, "min_edge_bytes", &JsonValue::as_u64, c.min_edge_bytes);
+  take(config, "max_edge_bytes", &JsonValue::as_u64, c.max_edge_bytes);
+  take(config, "min_work_units", &JsonValue::as_u64, c.min_work_units);
+  take(config, "max_work_units", &JsonValue::as_u64, c.max_work_units);
+  take(config, "duplicable_probability", &JsonValue::as_f64,
+       c.duplicable_probability);
+  take(config, "streaming_probability", &JsonValue::as_f64,
+       c.streaming_probability);
   // Optional multi-board fields (absent in single-board reproducers).
   if (config.count("board_count") != 0) {
-    r.config.board_count =
-        static_cast<std::uint32_t>(take_u64(config, "board_count"));
+    take(config, "board_count", &JsonValue::as_u32, c.board_count);
   }
   if (config.count("board_topology") != 0) {
-    r.config.board_topology = config.at("board_topology");
-    config.erase("board_topology");
+    take(config, "board_topology", &JsonValue::as_string, c.board_topology);
   }
-  r.config.seed = take_u64(config, "seed");
+  take(config, "seed", &JsonValue::as_u64, c.seed);
   if (!config.empty()) {
-    require(false,
-            "reproducer config has unknown field: " + config.begin()->first);
+    throw ConfigError{"reproducer config has unknown field: " +
+                      config.begin()->first};
   }
+  apps::validate_synthetic_config(c);
   return r;
 }
 

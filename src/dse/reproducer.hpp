@@ -32,9 +32,10 @@ struct Reproducer {
 /// Serialize to pretty-printed JSON (stable field order).
 [[nodiscard]] std::string to_json(const Reproducer& reproducer);
 
-/// Parse a reproducer back from JSON; throws ConfigError naming the
-/// missing/malformed field. Unknown config fields are rejected so typos
-/// in hand-edited fixtures are caught.
+/// Parse a reproducer back from strict JSON (util/text.hpp); throws
+/// ConfigError naming the missing/malformed field, and on any config
+/// validate_synthetic_config rejects. Unknown config fields are rejected
+/// so typos in hand-edited fixtures are caught.
 [[nodiscard]] Reproducer parse_reproducer(const std::string& json);
 
 /// Load and parse one reproducer file; throws ConfigError if unreadable.

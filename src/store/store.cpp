@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "util/hash.hpp"
+#include "util/text.hpp"
 
 namespace hybridic::store {
 
@@ -23,36 +24,6 @@ std::string hex64(std::uint64_t value) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(value));
   return std::string{buf};
-}
-
-/// Read one '\n'-terminated line starting at `pos`; false when no newline
-/// remains. `pos` advances past the newline.
-bool take_line(const std::string& blob, std::size_t& pos,
-               std::string& line) {
-  const std::size_t nl = blob.find('\n', pos);
-  if (nl == std::string::npos) {
-    return false;
-  }
-  line.assign(blob, pos, nl - pos);
-  pos = nl + 1;
-  return true;
-}
-
-bool parse_u64(const std::string& text, std::uint64_t& value) {
-  if (text.empty()) {
-    return false;
-  }
-  value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    if (value > (UINT64_MAX - static_cast<std::uint64_t>(c - '0')) / 10) {
-      return false;
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return true;
 }
 
 }  // namespace
@@ -173,14 +144,11 @@ std::optional<std::string> Store::get(const std::string& key) const {
     return std::nullopt;
   };
 
-  std::size_t pos = 0;
+  text::Reader reader{blob};
   std::string line;
-  if (!take_line(blob, pos, line) || line != kMagic) {
-    return damaged();
-  }
   std::uint64_t rev = 0;
-  if (!take_line(blob, pos, line) || line.rfind("rev ", 0) != 0 ||
-      !parse_u64(line.substr(4), rev)) {
+  if (!reader.take_exact(kMagic) || !reader.take_tagged("rev", line) ||
+      !text::parse_u64(line, rev)) {
     return damaged();
   }
   if (rev != kEngineRevision) {
@@ -188,29 +156,13 @@ std::optional<std::string> Store::get(const std::string& key) const {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  std::uint64_t key_len = 0;
-  if (!take_line(blob, pos, line) || line.rfind("key ", 0) != 0 ||
-      !parse_u64(line.substr(4), key_len)) {
-    return damaged();
-  }
-  if (pos + key_len + 1 > blob.size() ||
-      blob.compare(pos, key_len, key) != 0 || blob[pos + key_len] != '\n') {
+  if (!reader.take_sized("key", line) || line != key) {
     return damaged();  // Truncated, or a different key hashed here.
   }
-  pos += key_len + 1;
-  std::uint64_t payload_len = 0;
-  if (!take_line(blob, pos, line) || line.rfind("len ", 0) != 0 ||
-      !parse_u64(line.substr(4), payload_len)) {
-    return damaged();
-  }
-  if (pos + payload_len + 1 > blob.size() ||
-      blob[pos + payload_len] != '\n') {
-    return damaged();
-  }
-  std::string payload = blob.substr(pos, payload_len);
-  pos += payload_len + 1;
-  if (!take_line(blob, pos, line) || line.rfind("sum ", 0) != 0 ||
-      line.substr(4) != hex64(fnv1a64(payload)) || pos != blob.size()) {
+  std::string payload;
+  if (!reader.take_sized("len", payload) ||
+      !reader.take_tagged("sum", line) ||
+      line != hex64(fnv1a64(payload)) || !reader.at_end()) {
     return damaged();
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
@@ -236,7 +188,7 @@ std::vector<std::pair<std::string, std::string>> Store::read_index() const {
       continue;
     }
     std::uint64_t key_len = 0;
-    if (!parse_u64(line.substr(sp1 + 1, sp2 - sp1 - 1), key_len)) {
+    if (!text::parse_u64(line.substr(sp1 + 1, sp2 - sp1 - 1), key_len)) {
       continue;
     }
     if (line.size() - sp2 - 1 != key_len) {

@@ -95,34 +95,6 @@ TEST(Placement, DeterministicAcrossCalls) {
   EXPECT_EQ(a.cost, b.cost);
 }
 
-TEST(PlacementAnnealed, NeverWorseThanGreedy) {
-  Rng rng{99};
-  for (int trial = 0; trial < 5; ++trial) {
-    PlacementProblem problem;
-    problem.attachment_count = 10;
-    for (std::uint32_t a = 0; a < 10; ++a) {
-      for (std::uint32_t b = a + 1; b < 10; ++b) {
-        if (rng.chance(0.4)) {
-          problem.traffic.emplace_back(a, b, rng.between(1, 1000));
-        }
-      }
-    }
-    const PlacementResult greedy = place_attachments(problem);
-    const PlacementResult annealed =
-        place_attachments_annealed(problem, 1234, 5000);
-    EXPECT_LE(annealed.cost, greedy.cost);
-  }
-}
-
-TEST(PlacementAnnealed, DeterministicForSeed) {
-  PlacementProblem problem;
-  problem.attachment_count = 8;
-  problem.traffic = {{0, 7, 100}, {1, 6, 90}, {2, 5, 80}, {3, 4, 70}};
-  const PlacementResult a = place_attachments_annealed(problem, 5, 2000);
-  const PlacementResult b = place_attachments_annealed(problem, 5, 2000);
-  EXPECT_EQ(a.node_of, b.node_of);
-}
-
 /// Property sweep: placement cost is bounded below by total traffic (every
 /// communicating pair is at distance >= 1) and the bound is achieved when
 /// a pairing-only pattern fits the mesh.

@@ -349,6 +349,34 @@ TEST(SyntheticConfigValidation, AcceptsTheDefaultConfig) {
   EXPECT_NO_THROW(validate_synthetic_config(SyntheticConfig{}));
 }
 
+TEST(SyntheticConfigValidation, RejectsConfigsAboveTheDocumentedBounds) {
+  // Only the rejection is exercised: such a config never reaches the
+  // generator's k x k edge table.
+  SyntheticConfig kernels;
+  kernels.kernel_count = kMaxSyntheticKernels + 1;
+  expect_rejected(kernels, "kernel_count");
+  SyntheticConfig huge;
+  huge.kernel_count = 100000;
+  expect_rejected(huge, "kernel_count");
+  SyntheticConfig edges;
+  edges.max_edge_bytes = kMaxSyntheticEdgeBytes + 1;
+  expect_rejected(edges, "max_edge_bytes");
+  edges.min_edge_bytes = UINT64_MAX;
+  edges.max_edge_bytes = UINT64_MAX;
+  expect_rejected(edges, "edge_bytes");
+  SyntheticConfig work;
+  work.max_work_units = kMaxSyntheticWorkUnits + 1;
+  expect_rejected(work, "max_work_units");
+}
+
+TEST(SyntheticConfigValidation, AcceptsConfigsAtTheDocumentedBounds) {
+  SyntheticConfig config;
+  config.kernel_count = kMaxSyntheticKernels;
+  config.max_edge_bytes = kMaxSyntheticEdgeBytes;
+  config.max_work_units = kMaxSyntheticWorkUnits;
+  EXPECT_NO_THROW(validate_synthetic_config(config));
+}
+
 TEST(SyntheticConfigValidation, RejectsZeroKernels) {
   SyntheticConfig config;
   config.kernel_count = 0;

@@ -4,7 +4,11 @@
 Starts the server, walks one request through every branch of the error
 taxonomy — served, usage, config, timeout (quarantined) — checks the
 stats counters, checks determinism (the same request twice yields the
-same bytes), and verifies the orderly EOF shutdown (exit 0).
+same bytes), and verifies the orderly EOF shutdown (exit 0). A second
+session sends hostile lines: numbers outside the JSON grammar or outside
+a field's range, duplicate keys, unknown escapes, raw control bytes and
+configs above the generator's bounds. Each must get its documented
+error, and every reply to a line that parses must echo the line's id.
 
 Usage: python3 tools/serve_smoke.py /path/to/hybridic_serve
 """
@@ -88,8 +92,64 @@ def main():
 
     check("eof shutdown" in proc.stderr,
           "missing shutdown summary on stderr: " + proc.stderr)
+
+    check_hostile(binary)
     print("serve_smoke: all tests passed")
     return 0
+
+
+# (raw request line, expected id echo, expected error class). Lines that
+# are not JSON at all cannot name their id, so they echo "".
+HOSTILE = [
+    ('{"id":"neg-seed","seed":-1}', "neg-seed", "usage"),
+    ('{"id":"plus-seed","seed":+7}', "", "usage"),
+    ('{"id":"frac-kernels","kernels":1.9}', "frac-kernels", "usage"),
+    ('{"id":"wide-kernels","kernels":4294967297}', "wide-kernels", "usage"),
+    ('{"id":"bare-exp","kernels":1e}', "", "usage"),
+    ('{"id":"bare-minus","kernels":-}', "", "usage"),
+    ('{"id":"huge-seed","seed":99999999999999999999}', "huge-seed", "usage"),
+    ('{"id":"neg-bytes","min_edge_bytes":-1,"max_edge_bytes":-1}',
+     "neg-bytes", "usage"),
+    ('{"id":"tiny-p","edge_p":1e-400}', "tiny-p", "usage"),
+    ('{"edge_p":1e-400,"id":"tiny-p-first"}', "tiny-p-first", "usage"),
+    ('{"id":"quoted-seed","seed":"5"}', "quoted-seed", "usage"),
+    ('{"id":"dup","seed":1,"seed":2}', "", "usage"),
+    ('{"id":"slash","board_topology":"ring\\/"}', "", "usage"),
+    ('{"id":"ctl","board_topology":"ri\\u0007ng"}', "ctl", "usage"),
+    ('{"id":"raw-ctl\x01"}', "", "usage"),
+    ('{"id":"nested","seed":{"a":1}}', "nested", "usage"),
+    ('{"id":"trailing"} x', "", "usage"),
+    ('{"id":"many-kernels","kernels":100000}', "many-kernels", "config"),
+    ('{"id":"max-bytes","max_edge_bytes":18446744073709551615}',
+     "max-bytes", "config"),
+    ('{"id":"crlf","op":"stats"}\r', "crlf", None),
+]
+
+
+def check_hostile(binary):
+    stdin = "".join(line + "\n" for line, _, _ in HOSTILE)
+    proc = subprocess.run([binary], input=stdin.encode(), capture_output=True,
+                          timeout=600)
+    check(proc.returncode == 0,
+          "serve exit {} != 0 after hostile lines: {}".format(
+              proc.returncode, proc.stderr.decode(errors="replace")))
+    lines = proc.stdout.decode().splitlines()
+    check(len(lines) == len(HOSTILE),
+          "expected {} hostile replies, got {}".format(len(HOSTILE),
+                                                     len(lines)))
+    for (request, echo, error), line in zip(HOSTILE, lines):
+        reply = json.loads(line)
+        check(reply["id"] == echo,
+              "reply to {} echoes id {!r}, want {!r}".format(
+                  request, reply["id"], echo))
+        if error is None:
+            check(reply["ok"] is True, "{} not served: {}".format(request,
+                                                                  line))
+            continue
+        codes = {"usage": 2, "config": 3}
+        check(reply["ok"] is False and reply["error"] == error
+              and reply["exit_code"] == codes[error],
+              "{} not a {} error: {}".format(request, error, line))
 
 
 if __name__ == "__main__":
