@@ -16,12 +16,10 @@
 // --threads values (every case is sampled from (campaign_seed, index),
 // never from time or thread id).
 //
-// Scaling out (docs/MODEL.md §15): `--store DIR` attaches the persistent
-// content-addressed result store (profiles + analytic estimates survive
-// restarts and are shared between processes); `--shard i/N` evaluates
-// only indices where index % N == i, writing `<name>.shardIofN.csv`.
-// `tools/merge_shards.py` reassembles the N shard CSVs into a file
-// byte-identical to the unsharded run.
+// Scaling out (docs/MODEL.md §15): `--shard i/N` evaluates only indices
+// where index % N == i, writing `<name>.shardIofN.csv`. Shards share
+// nothing; `tools/merge_shards.py` reassembles the N shard CSVs into a
+// file byte-identical to the unsharded run.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -42,9 +40,9 @@ namespace {
 
 using namespace hybridic;
 
-// Exit codes follow the PR 4 scheme: 0 ok / 1 failures found / 2 usage /
-// 3 config / 5 store error. PR 9 adds 6 (interrupted and drained) and
-// 7 (completed with quarantined jobs); 6 beats 7 beats 1.
+// Exit codes: 0 ok / 1 failures found / 2 usage / 3 config / 5 journal
+// unusable / 6 interrupted and drained / 7 completed with quarantined
+// jobs; 6 beats 7 beats 1.
 constexpr int kExitFailures = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitConfig = 3;
@@ -76,12 +74,8 @@ struct Options {
   std::uint64_t seed = 1;
   bool smoke = false;
   tiers::TierMode tier = tiers::TierMode::kCycle;
-  std::string store_dir;
   std::uint64_t shard_index = 0;
   std::uint64_t shard_count = 1;
-  /// CI warm-restart smoke: exit kExitStore unless the store served at
-  /// least one profile (proves a second --store run actually hits L2).
-  bool assert_warm = false;
   std::uint32_t boards = 1;
   std::string board_topology = "chain";
   std::string journal_path;
@@ -96,7 +90,7 @@ void print_help(const char* argv0, std::ostream& out) {
   out << "usage: " << argv0
       << " [--threads N] [--count N] [--seed S]"
       << " [--tier auto|analytic|cycle] [--smoke]"
-      << " [--store DIR] [--shard I/N] [--assert-warm]"
+      << " [--shard I/N]"
       << " [--boards N] [--board-topology chain|ring|mesh]"
       << " [--journal FILE] [--resume] [--job-timeout S]\n"
       << "       [--search anneal] [--search-restarts N]"
@@ -113,9 +107,7 @@ void print_help(const char* argv0, std::ostream& out) {
       << "  --seed S        campaign seed (default 1)\n"
       << "  --tier MODE     auto | analytic | cycle (default cycle)\n"
       << "  --smoke         small CI sweep -> bench_results/dse_smoke.csv\n"
-      << "  --store DIR     persistent content-addressed result store\n"
       << "  --shard I/N     evaluate only indices with index % N == I\n"
-      << "  --assert-warm   fail unless the store served >= 1 hit\n"
       << "  --boards N      sample board counts in [1, N]; N > 1 runs the\n"
       << "                  two-level multi-board design on sampled rows\n"
       << "  --board-topology chain|ring|mesh   inter-board network shape\n"
@@ -144,8 +136,7 @@ void print_help(const char* argv0, std::ostream& out) {
       << "  1  campaign completed with oracle failures (or errors)\n"
       << "  2  usage error: unknown flag or malformed value\n"
       << "  3  semantic configuration error\n"
-      << "  5  store error: --store directory unusable (or --assert-warm"
-      << " cold)\n"
+      << "  5  store error: --journal file unusable\n"
       << "  6  interrupted by SIGINT/SIGTERM and drained cleanly\n"
       << "  7  campaign completed but quarantined >= 1 poison design\n";
 }
@@ -201,10 +192,6 @@ Options parse(int argc, char** argv) {
       options.smoke = true;
       continue;
     }
-    if (arg == "--assert-warm") {
-      options.assert_warm = true;
-      continue;
-    }
     if (std::string v = value_of("--threads"); !v.empty()) {
       options.threads = unsigned_flag("--threads", v);
       continue;
@@ -216,10 +203,6 @@ Options parse(int argc, char** argv) {
     }
     if (std::string v = value_of("--seed"); !v.empty()) {
       options.seed = unsigned_flag("--seed", v);
-      continue;
-    }
-    if (std::string v = value_of("--store"); !v.empty()) {
-      options.store_dir = v;
       continue;
     }
     if (std::string v = value_of("--journal"); !v.empty()) {
@@ -330,7 +313,6 @@ int main(int argc, char** argv) {
   campaign.campaign_seed = options.seed;
   campaign.threads = options.threads;
   campaign.tier = options.tier;
-  campaign.store_dir = options.store_dir;
   campaign.shard_index = options.shard_index;
   campaign.shard_count = options.shard_count;
   campaign.journal_path = options.journal_path;
@@ -413,35 +395,16 @@ int main(int argc, char** argv) {
               << result.skipped_count << " designs not started)\n";
   }
 
-  // Live cache/store counters: stdout only — they vary with thread count,
-  // shard split, and store warmth, so they never enter the CSV/REPORT.
+  // Live cache counters: stdout only — they vary with thread count and
+  // shard split, so they never enter the CSV/REPORT.
   const apps::ProfileCacheStats& pc = result.profile_cache_stats;
   std::cout << "profile_cache hits=" << pc.hits << " misses=" << pc.misses
-            << " l2_hits=" << pc.l2_hits << " l2_stores=" << pc.l2_stores
             << " evictions=" << pc.evictions << " resident_entries="
             << pc.entries << " resident_bytes=" << pc.resident_bytes
             << "\n";
-  std::cout << "estimate_l2 hits=" << result.estimate_l2_hits
-            << " stores=" << result.estimate_l2_stores << "\n";
-  if (result.store_stats.has_value()) {
-    const store::StoreStats& ss = *result.store_stats;
-    std::cout << "store puts=" << ss.puts << " hits=" << ss.hits
-              << " misses=" << ss.misses << " corrupt=" << ss.corrupt_entries
-              << "\n";
-  }
-  if (options.assert_warm) {
-    if (!result.store_stats.has_value() ||
-        result.store_stats->hits == 0) {
-      std::cerr << "--assert-warm: the store served zero hits (expected a "
-                   "warm restart to reuse persisted artifacts)\n";
-      return kExitStore;
-    }
-    std::cout << "warm restart confirmed: " << result.store_stats->hits
-              << " store hits\n";
-  }
 
-  // Shard runs suffix their CSV so N concurrent shards (sharing one
-  // store) never clobber each other; the merge tool globs the suffix.
+  // Shard runs suffix their CSV so N concurrent shards never clobber
+  // each other; the merge tool globs the suffix.
   const auto shard_name = [&options](const std::string& base) {
     if (options.shard_count <= 1) {
       return base;

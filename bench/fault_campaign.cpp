@@ -14,7 +14,6 @@
 // FaultSpec seed is job_seed(key), never time or thread id).
 #include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -29,6 +28,7 @@
 namespace {
 
 using namespace hybridic;
+using text::decimal17;
 
 struct CampaignOptions {
   std::size_t threads = 0;
@@ -139,12 +139,6 @@ CampaignRow run_point(apps::ProfileCache& cache, const std::string& app_name,
   return row;
 }
 
-std::string fmt(double value) {
-  std::ostringstream out;
-  out << std::setprecision(17) << value;
-  return out.str();
-}
-
 std::string campaign_csv(const std::vector<CampaignRow>& rows) {
   std::ostringstream out;
   out << "app,variant,scenario,rate,total_s,slowdown_vs_clean,"
@@ -162,8 +156,8 @@ std::string campaign_csv(const std::vector<CampaignRow>& rows) {
   };
   for (const CampaignRow& row : rows) {
     out << row.app << ',' << row.variant << ',' << row.scenario << ','
-        << fmt(row.rate) << ',' << fmt(row.total_seconds) << ','
-        << fmt(row.total_seconds / clean_of(row)) << ','
+        << decimal17(row.rate) << ',' << decimal17(row.total_seconds) << ','
+        << decimal17(row.total_seconds / clean_of(row)) << ','
         << row.stats.flits_corrupted << ','
         << row.stats.packets_retransmitted << ','
         << row.stats.retransmit_give_ups << ','
@@ -257,8 +251,8 @@ std::string smoke_json(const std::vector<CampaignRow>& rows) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const CampaignRow& row = rows[i];
     out << "    {\"app\": \"" << row.app << "\", \"variant\": \""
-        << row.variant << "\", \"rate\": " << fmt(row.rate)
-        << ", \"total_seconds\": " << fmt(row.total_seconds)
+        << row.variant << "\", \"rate\": " << decimal17(row.rate)
+        << ", \"total_seconds\": " << decimal17(row.total_seconds)
         << ", \"flits_corrupted\": " << row.stats.flits_corrupted
         << ", \"retransmits\": " << row.stats.packets_retransmitted
         << ", \"bus_errors\": " << row.stats.bus_errors
@@ -294,7 +288,7 @@ int main(int argc, char** argv) {
                            const std::string& variant,
                            const std::string& scenario, double rate) {
     const std::string key = "fault/" + app + "/" + variant + "/" +
-                            scenario + "/" + fmt(rate);
+                            scenario + "/" + decimal17(rate);
     jobs.push_back({key, [&cache, app, variant, scenario,
                           rate](sys::JobContext& ctx) {
                       faults::FaultSpec spec = spec_at_rate(rate, ctx.seed);

@@ -328,36 +328,21 @@ int main(int argc, char** argv) {
             << store_restart_l2_hits << " L2 hits, " << restart_over_warm
             << "x the in-process warm batch)\n";
 
-  // Sharded campaign smoke: the same small sweep as 2 shards sharing one
-  // store; counters prove cross-process reuse plumbing end to end.
+  // Sharded campaign smoke: the same small sweep as 2 shards; each
+  // shard owns exactly its slice of the rows.
   std::uint64_t shard_rows[2] = {0, 0};
-  std::uint64_t shard_store_hits = 0;
-  std::uint64_t shard_store_puts = 0;
-  {
-    const fs::path shard_store =
-        fs::temp_directory_path() / "hybridic_perf_smoke_shards";
-    fs::remove_all(shard_store, ec);
-    for (std::uint64_t shard = 0; shard < 2; ++shard) {
-      dse::CampaignOptions options;
-      options.count = 16;
-      options.campaign_seed = 1;
-      options.max_shrinks = 0;
-      options.tier = tiers::TierMode::kAnalytic;
-      options.store_dir = (shard_store / "store").string();
-      options.shard_index = shard;
-      options.shard_count = 2;
-      const dse::CampaignResult result = dse::run_campaign(options);
-      shard_rows[shard] = result.cases.size();
-      if (result.store_stats.has_value()) {
-        shard_store_hits += result.store_stats->hits;
-        shard_store_puts += result.store_stats->puts;
-      }
-    }
-    fs::remove_all(shard_store, ec);
+  for (std::uint64_t shard = 0; shard < 2; ++shard) {
+    dse::CampaignOptions options;
+    options.count = 16;
+    options.campaign_seed = 1;
+    options.max_shrinks = 0;
+    options.tier = tiers::TierMode::kAnalytic;
+    options.shard_index = shard;
+    options.shard_count = 2;
+    shard_rows[shard] = dse::run_campaign(options).cases.size();
   }
   std::cout << "  shard smoke:      " << shard_rows[0] << "+"
-            << shard_rows[1] << " rows, store " << shard_store_puts
-            << " puts / " << shard_store_hits << " hits across shards\n";
+            << shard_rows[1] << " rows\n";
 
   // Tiered DSE sweep: the same design points priced by the analytic tier,
   // the auto policy (analytic + capped escalation), and the full
@@ -427,8 +412,6 @@ int main(int argc, char** argv) {
        << ",\n"
        << "  \"shard_smoke_rows_shard0\": " << shard_rows[0] << ",\n"
        << "  \"shard_smoke_rows_shard1\": " << shard_rows[1] << ",\n"
-       << "  \"shard_smoke_store_puts\": " << shard_store_puts << ",\n"
-       << "  \"shard_smoke_store_hits\": " << shard_store_hits << ",\n"
        << "  \"dse_design_count\": " << dse_count << ",\n"
        << "  \"dse_analytic_sweep_s\": " << dse_analytic_s << ",\n"
        << "  \"dse_auto_sweep_s\": " << dse_auto_s << ",\n"

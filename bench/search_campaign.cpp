@@ -38,11 +38,11 @@
 #include "util/text.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace {
 
 using namespace hybridic;
+using text::decimal17;
 
 struct Options {
   bool smoke = false;
@@ -69,13 +69,6 @@ Options parse_options(int argc, char** argv) {
     }
   }
   return options;
-}
-
-std::string fmt(double value) {
-  std::ostringstream out;
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << value;
-  return out.str();
 }
 
 struct Workload {
@@ -240,8 +233,9 @@ int main(int argc, char** argv) {
                    "threads_identical", "validator_issues"}};
     for (const SweepRow& row : rows) {
       csv.add_row({row.name, row.record.solution_tag,
-                   fmt(row.record.algorithm1_analytic_seconds),
-                   fmt(row.record.analytic_seconds), fmt(row.record.gain),
+                   decimal17(row.record.algorithm1_analytic_seconds),
+                   decimal17(row.record.analytic_seconds),
+                   decimal17(row.record.gain),
                    std::to_string(row.record.algorithm1_luts),
                    std::to_string(row.record.luts),
                    std::to_string(row.record.best_restart),

@@ -18,7 +18,6 @@
 // function of the (deterministic) profile and the design seed.
 #include <cstdlib>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -35,6 +34,7 @@
 namespace {
 
 using namespace hybridic;
+using text::decimal17;
 
 struct SweepOptions {
   std::size_t threads = 0;
@@ -142,12 +142,6 @@ SweepRow run_point(apps::ProfileCache& cache, const std::string& app_name,
   return row;
 }
 
-std::string fmt(double value) {
-  std::ostringstream out;
-  out << std::setprecision(17) << value;
-  return out.str();
-}
-
 std::string sweep_csv(const std::vector<SweepRow>& rows) {
   std::ostringstream out;
   out << "app,topology,boards,scenario,total_s,analytic_mid_s,"
@@ -156,13 +150,13 @@ std::string sweep_csv(const std::vector<SweepRow>& rows) {
          "inter_busy_s,reroutes,refinement_moves\n";
   for (const SweepRow& row : rows) {
     out << row.app << ',' << row.topology << ',' << row.boards << ','
-        << row.scenario << ',' << fmt(row.total_seconds) << ','
-        << fmt(row.analytic_mid_seconds) << ','
-        << fmt(row.analytic_lower_seconds) << ','
-        << fmt(row.analytic_upper_seconds) << ',' << row.cut_bytes << ','
+        << row.scenario << ',' << decimal17(row.total_seconds) << ','
+        << decimal17(row.analytic_mid_seconds) << ','
+        << decimal17(row.analytic_lower_seconds) << ','
+        << decimal17(row.analytic_upper_seconds) << ',' << row.cut_bytes << ','
         << row.intra_bytes << ',' << row.profiled_bytes << ','
         << (row.conserved ? 1 : 0) << ',' << row.inter_transfers << ','
-        << row.inter_bytes << ',' << fmt(row.inter_busy_seconds) << ','
+        << row.inter_bytes << ',' << decimal17(row.inter_busy_seconds) << ','
         << row.reroutes << ',' << row.refinement_moves << '\n';
   }
   return out.str();

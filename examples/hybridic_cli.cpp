@@ -118,7 +118,7 @@ struct CliOptions {
   double fault_rate = 0.0;
   std::uint64_t fault_seed = 1;
   tiers::TierMode tier = tiers::TierMode::kCycle;
-  std::string store_dir;  ///< Empty = no persistent store.
+  std::string store_root;  ///< Empty = no persistent store.
   std::uint32_t boards = 1;
   std::string board_topology = "chain";
 };
@@ -166,8 +166,8 @@ CliOptions parse_cli(int argc, char** argv) {
       }
       options.tier = *mode;
     } else if (arg.rfind("--store=", 0) == 0) {
-      options.store_dir = arg.substr(std::string{"--store="}.size());
-      if (options.store_dir.empty()) {
+      options.store_root = arg.substr(std::string{"--store="}.size());
+      if (options.store_root.empty()) {
         throw UsageError{"--store needs a directory path"};
       }
     } else if (arg.rfind("--boards=", 0) == 0) {
@@ -200,11 +200,11 @@ CliOptions parse_cli(int argc, char** argv) {
 /// store the profile round-trips through the content-addressed L2: a warm
 /// directory skips the QUAD pass entirely, a cold one gets populated.
 std::shared_ptr<const apps::ProfiledApp> load_app(
-    const std::string& spec, const std::string& store_dir) {
+    const std::string& spec, const std::string& store_root) {
   apps::ProfileCache cache;
-  if (!store_dir.empty()) {
+  if (!store_root.empty()) {
     cache.set_l2(std::make_shared<store::ProfileStoreL2>(
-        std::make_shared<store::Store>(store_dir)));
+        std::make_shared<store::Store>(store_root)));
   }
   if (spec.rfind("synthetic:", 0) == 0) {
     apps::SyntheticConfig config;
@@ -338,7 +338,7 @@ int run_cli(const CliOptions& cli) {
   }
 
   const std::shared_ptr<const apps::ProfiledApp> app_ptr =
-      load_app(cli.app_spec, cli.store_dir);
+      load_app(cli.app_spec, cli.store_root);
   const apps::ProfiledApp& app = *app_ptr;
   std::cout << "application: " << app.name << "  verification: "
             << (app.verified ? "PASS" : "FAIL") << " ("

@@ -28,10 +28,14 @@
 // Responses: {"id":...,"ok":true,...} on success, or
 // {"id":...,"ok":false,"error":E,"exit_code":N,"message":M} where the
 // error taxonomy E/N mirrors the CLI exit-code scheme ("internal"/1,
-// "usage"/2, "config"/3, "timeout"/4, "store"/5). A request whose
-// watchdog expires is answered with the timeout taxonomy, counted as
-// quarantined, and the wedged attempt is abandoned — the server keeps
-// serving.
+// "usage"/2, "config"/3, "timeout"/4; the server holds no store, so the
+// CLI's "store"/5 never arises). A request whose watchdog expires is
+// answered with the timeout taxonomy, counted as quarantined, and the
+// wedged attempt is abandoned — the server keeps serving.
+//
+// The profile cache is bounded by the campaign defaults
+// (dse::CampaignOptions::profile_cache_max_*), so a long-lived server
+// holds a fixed number of profiles however many shapes it sees.
 //
 // Shutdown: EOF on stdin, SIGINT or SIGTERM. The server finishes the
 // in-flight request, prints its counters to stderr and exits 0.
@@ -41,12 +45,13 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "apps/profile_cache.hpp"
 #include "apps/synthetic.hpp"
+#include "dse/campaign.hpp"
 #include "dse/case_runner.hpp"
 #include "search/anneal.hpp"
 #include "store/store.hpp"
@@ -59,6 +64,7 @@
 namespace {
 
 using namespace hybridic;
+using text::decimal17;
 
 std::atomic<bool> g_stop{false};
 
@@ -78,13 +84,6 @@ void install_signal_handlers() {
   sigaction(SIGTERM, &sa, nullptr);
 }
 
-std::string json_number(double value) {
-  std::ostringstream out;
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << value;
-  return out.str();
-}
-
 // ---------------------------------------------------------------------------
 // Error taxonomy: the structured mirror of the CLI exit-code scheme, so a
 // scripted caller can switch on one field either way.
@@ -98,7 +97,6 @@ constexpr Taxonomy kInternal{"internal", 1};
 constexpr Taxonomy kUsage{"usage", 2};
 constexpr Taxonomy kConfig{"config", 3};
 constexpr Taxonomy kTimeout{"timeout", 4};
-constexpr Taxonomy kStore{"store", 5};
 
 /// One finished request: the response line plus how to count it.
 struct ServeReply {
@@ -112,6 +110,24 @@ std::string error_body(const Taxonomy& taxonomy, const std::string& message) {
       << "\",\"exit_code\":" << taxonomy.exit_code << ",\"message\":\""
       << text::json_escape(message) << "\"}";
   return out.str();
+}
+
+/// Run one request body (which returns its success reply) and map
+/// whatever it throws onto the taxonomy.
+template <typename Body>
+ServeReply answer(const Body& body) {
+  ServeReply reply;
+  try {
+    reply.json = body();
+    reply.ok = true;
+  } catch (const SimTimeoutError& e) {
+    reply.json = error_body(kTimeout, e.what());
+  } catch (const ConfigError& e) {
+    reply.json = error_body(kConfig, e.what());
+  } catch (const std::exception& e) {
+    reply.json = error_body(kInternal, e.what());
+  }
+  return reply;
 }
 
 struct Counters {
@@ -215,112 +231,91 @@ bool decode_request(const text::JsonObject& fields, Request& request,
 // ---------------------------------------------------------------------------
 // The design job itself. Runs on a watchdog thread when the request set
 // timeout_s, so it only touches state that outlives the request: the
-// evaluator and cache live in main() until process exit.
+// evaluator and cache in ServeState.
 
-ServeReply run_design(const Request& request,
-                      tiers::TieredEvaluator& evaluator,
-                      apps::ProfileCache& cache) {
-  ServeReply reply;
-  try {
-    std::ostringstream out;
-    out << "\"ok\":true,\"tier\":\"" << tiers::to_string(request.tier)
-        << "\"";
-    if (request.tier == tiers::TierMode::kCycle) {
-      const dse::DesignCase c = dse::run_design_case(request.config, &cache);
-      const tiers::TierEstimate estimate =
-          evaluator.estimate(c.schedule, c.exp.proposed_design);
-      out << ",\"solution\":\""
-          << text::json_escape(c.exp.proposed_design.solution_tag())
-          << "\",\"baseline_s\":" << json_number(c.exp.baseline.total_seconds)
-          << ",\"designed_s\":" << json_number(c.exp.proposed.total_seconds)
-          << ",\"crossbar_s\":" << json_number(c.crossbar.total_seconds)
-          << ",\"pipelined_makespan_s\":"
-          << json_number(c.pipelined.makespan_seconds)
-          << ",\"analytic_designed_s\":"
-          << json_number(estimate.designed_kernel_seconds);
-    } else {
-      tiers::AnalyticCase analytic =
-          evaluator.analyze(request.config, &cache);
-      out << ",\"solution\":\""
-          << text::json_escape(analytic.proposed.solution_tag())
-          << "\",\"analytic_baseline_s\":"
-          << json_number(analytic.estimate.baseline_kernel_seconds)
-          << ",\"analytic_designed_s\":"
-          << json_number(analytic.estimate.designed_kernel_seconds)
-          << ",\"analytic_lo_s\":"
-          << json_number(analytic.estimate.designed_lower_seconds)
-          << ",\"analytic_hi_s\":"
-          << json_number(analytic.estimate.designed_upper_seconds);
-    }
-    out << "}";
-    reply.json = out.str();
-    reply.ok = true;
-  } catch (const store::StoreError& e) {
-    reply.json = error_body(kStore, e.what());
-  } catch (const SimTimeoutError& e) {
-    reply.json = error_body(kTimeout, e.what());
-  } catch (const ConfigError& e) {
-    reply.json = error_body(kConfig, e.what());
-  } catch (const std::exception& e) {
-    reply.json = error_body(kInternal, e.what());
+/// Everything a request body touches, heap-held behind one shared_ptr: an
+/// expired request's abandoned thread may still be running when main()
+/// returns, so each body holds its own reference.
+struct ServeState {
+  tiers::TieredEvaluator evaluator;
+  apps::ProfileCache cache;
+};
+
+std::string run_design(const Request& request,
+                       tiers::TieredEvaluator& evaluator,
+                       apps::ProfileCache& cache) {
+  std::ostringstream out;
+  out << "\"ok\":true,\"tier\":\"" << tiers::to_string(request.tier) << "\"";
+  if (request.tier == tiers::TierMode::kCycle) {
+    const dse::DesignCase c = dse::run_design_case(request.config, &cache);
+    const tiers::TierEstimate estimate =
+        evaluator.estimate(c.schedule, c.exp.proposed_design);
+    out << ",\"solution\":\""
+        << text::json_escape(c.exp.proposed_design.solution_tag())
+        << "\",\"baseline_s\":" << decimal17(c.exp.baseline.total_seconds)
+        << ",\"designed_s\":" << decimal17(c.exp.proposed.total_seconds)
+        << ",\"crossbar_s\":" << decimal17(c.crossbar.total_seconds)
+        << ",\"pipelined_makespan_s\":"
+        << decimal17(c.pipelined.makespan_seconds)
+        << ",\"analytic_designed_s\":"
+        << decimal17(estimate.designed_kernel_seconds);
+  } else {
+    tiers::AnalyticCase analytic = evaluator.analyze(request.config, &cache);
+    out << ",\"solution\":\""
+        << text::json_escape(analytic.proposed.solution_tag())
+        << "\",\"analytic_baseline_s\":"
+        << decimal17(analytic.estimate.baseline_kernel_seconds)
+        << ",\"analytic_designed_s\":"
+        << decimal17(analytic.estimate.designed_kernel_seconds)
+        << ",\"analytic_lo_s\":"
+        << decimal17(analytic.estimate.designed_lower_seconds)
+        << ",\"analytic_hi_s\":"
+        << decimal17(analytic.estimate.designed_upper_seconds);
   }
-  return reply;
+  out << "}";
+  return out.str();
 }
 
 // The search job: seeded annealing over the configured app, always
 // seeded by (and compared against) Algorithm 1. tier=cycle adds the
 // end-of-run cycle-accurate check of the incumbent.
-ServeReply run_search(const Request& request,
-                      tiers::TieredEvaluator& evaluator,
-                      apps::ProfileCache& cache) {
-  ServeReply reply;
-  try {
-    const tiers::AnalyticCase analytic =
-        evaluator.analyze(request.config, &cache);
-    const core::DesignInput input =
-        sys::make_design_input(analytic.schedule, evaluator.platform());
-    search::AnnealOptions sopt;
-    sopt.seed = request.config.seed;
-    sopt.restarts = request.search_restarts;
-    sopt.iterations = request.search_iterations;
-    sopt.calibration = evaluator.calibration();
-    sopt.cycle_validate = request.tier == tiers::TierMode::kCycle;
-    const search::SearchResult result = search::anneal_interconnect(
-        analytic.schedule, input, evaluator.platform(), sopt);
-    const search::SearchRecord record = result.record();
-    std::ostringstream out;
-    out << "\"ok\":true,\"tier\":\"" << tiers::to_string(request.tier)
-        << "\",\"solution\":\"" << text::json_escape(record.solution_tag)
-        << "\",\"searched_analytic_s\":"
-        << json_number(record.analytic_seconds) << ",\"alg1_analytic_s\":"
-        << json_number(record.algorithm1_analytic_seconds)
-        << ",\"searched_luts\":" << record.luts
-        << ",\"alg1_luts\":" << record.algorithm1_luts
-        << ",\"gain\":" << json_number(record.gain)
-        << ",\"best_restart\":" << record.best_restart
-        << ",\"proposed\":" << record.proposed
-        << ",\"accepted\":" << record.accepted
-        << ",\"rejected_illegal\":" << record.rejected_illegal
-        << ",\"cache_hits\":" << record.cache_hits;
-    if (result.cycle.has_value()) {
-      out << ",\"cycle_s\":"
-          << json_number(result.cycle->measured_kernel_seconds)
-          << ",\"within_band\":"
-          << (result.cycle->within_band ? "true" : "false");
-    }
-    out << "}";
-    reply.json = out.str();
-    reply.ok = true;
-  } catch (const store::StoreError& e) {
-    reply.json = error_body(kStore, e.what());
-  } catch (const SimTimeoutError& e) {
-    reply.json = error_body(kTimeout, e.what());
-  } catch (const ConfigError& e) {
-    reply.json = error_body(kConfig, e.what());
-  } catch (const std::exception& e) {
-    reply.json = error_body(kInternal, e.what());
+std::string run_search(const Request& request,
+                       tiers::TieredEvaluator& evaluator,
+                       apps::ProfileCache& cache) {
+  const tiers::AnalyticCase analytic =
+      evaluator.analyze(request.config, &cache);
+  const core::DesignInput input =
+      sys::make_design_input(analytic.schedule, evaluator.platform());
+  search::AnnealOptions sopt;
+  sopt.seed = request.config.seed;
+  sopt.restarts = request.search_restarts;
+  sopt.iterations = request.search_iterations;
+  sopt.calibration = evaluator.calibration();
+  sopt.cycle_validate = request.tier == tiers::TierMode::kCycle;
+  const search::SearchResult result = search::anneal_interconnect(
+      analytic.schedule, input, evaluator.platform(), sopt);
+  const search::SearchRecord record = result.record();
+  std::ostringstream out;
+  out << "\"ok\":true,\"tier\":\"" << tiers::to_string(request.tier)
+      << "\",\"solution\":\"" << text::json_escape(record.solution_tag)
+      << "\",\"searched_analytic_s\":" << decimal17(record.analytic_seconds)
+      << ",\"alg1_analytic_s\":"
+      << decimal17(record.algorithm1_analytic_seconds)
+      << ",\"searched_luts\":" << record.luts
+      << ",\"alg1_luts\":" << record.algorithm1_luts
+      << ",\"gain\":" << decimal17(record.gain)
+      << ",\"best_restart\":" << record.best_restart
+      << ",\"proposed\":" << record.proposed
+      << ",\"accepted\":" << record.accepted
+      << ",\"rejected_illegal\":" << record.rejected_illegal
+      << ",\"cache_hits\":" << record.cache_hits;
+  if (result.cycle.has_value()) {
+    out << ",\"cycle_s\":" << decimal17(result.cycle->measured_kernel_seconds)
+        << ",\"within_band\":"
+        << (result.cycle->within_band ? "true" : "false");
   }
-  return reply;
+  out << "}";
+  return out.str();
 }
 
 }  // namespace
@@ -350,8 +345,11 @@ int main(int argc, char** argv) {
   }
   install_signal_handlers();
 
-  tiers::TieredEvaluator evaluator;
-  apps::ProfileCache cache;
+  const auto state = std::make_shared<ServeState>();
+  const dse::CampaignOptions defaults;
+  state->cache.set_capacity(
+      static_cast<std::size_t>(defaults.profile_cache_max_entries),
+      defaults.profile_cache_max_bytes);
   Counters counters;
 
   std::string line;
@@ -388,22 +386,19 @@ int main(int argc, char** argv) {
     // The request body under its watchdog. The attempt thread owns copies
     // of the closure; an expired request is abandoned (and counted as
     // quarantined), never joined.
-    const auto body = [&evaluator, &cache,
-                       request](sys::JobContext&) -> ServeReply {
-      return request.search ? run_search(request, evaluator, cache)
-                            : run_design(request, evaluator, cache);
+    const auto body = [state, request](sys::JobContext&) -> ServeReply {
+      return answer([&] {
+        return request.search
+                   ? run_search(request, state->evaluator, state->cache)
+                   : run_design(request, state->evaluator, state->cache);
+      });
     };
-    sys::detail::AttemptOutcome<ServeReply> outcome;
-    if (request.timeout_seconds > 0.0) {
-      sys::JobContext context{request.id, sys::job_seed(request.id),
-                              Rng{sys::job_seed(request.id)}, 0};
-      outcome = sys::detail::attempt_with_watchdog<ServeReply>(
-          body, std::move(context), nullptr, request.timeout_seconds);
-    } else {
-      sys::JobContext context{request.id, sys::job_seed(request.id),
-                              Rng{sys::job_seed(request.id)}, 0};
-      outcome = sys::detail::run_attempt<ServeReply>(body, context, nullptr);
-    }
+    const sys::SupervisedResult<ServeReply> outcome =
+        sys::detail::attempt<ServeReply>(
+            body,
+            sys::JobContext{request.id, sys::job_seed(request.id),
+                            Rng{sys::job_seed(request.id)}, 0},
+            request.timeout_seconds);
 
     std::string tail;
     switch (outcome.status) {

@@ -14,8 +14,8 @@
 // Tiering (docs/MODEL.md §15): this class is the in-memory L1. An optional
 // ProfileL2 backend (the persistent store in src/store/) sits underneath:
 // an L1 miss consults L2 before profiling, and freshly profiled entries are
-// published to L2, so warm-path performance survives process restarts and
-// is shared across campaign shards. L1 is bounded: set_capacity() installs
+// published to L2, so a paper app's QUAD run survives process restarts
+// (hybridic_cli --store). L1 is bounded: set_capacity() installs
 // entry-count/byte caps enforced by LRU eviction of ready entries —
 // evicted profiles fall back to L2 (or recompute when no L2 is attached).
 //

@@ -12,22 +12,16 @@
 #include "dse/case_runner.hpp"
 #include "dse/outcome_codec.hpp"
 #include "dse/shrinker.hpp"
-#include "store/adapters.hpp"
-#include "store/codec.hpp"
 #include "store/journal.hpp"
 #include "sys/batch_runner.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
+#include "util/text.hpp"
 
 namespace hybridic::dse {
 namespace {
 
-std::string fmt(double value) {
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
-}
+using text::decimal17;
 
 std::string hex_key(std::uint64_t key) {
   std::ostringstream out;
@@ -35,19 +29,10 @@ std::string hex_key(std::uint64_t key) {
   return out.str();
 }
 
-std::string hex16(std::uint64_t h) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (std::size_t i = 0; i < 16; ++i) {
-    out[i] = kDigits[(h >> (60 - 4 * i)) & 0xF];
-  }
-  return out;
-}
-
 /// 16-hex content hash of a row's profile identity: the exact string the
-/// profile cache (and the L2 store, revision aside) keys the config by.
+/// profile cache keys the config by.
 std::string profile_key_of(const apps::SyntheticConfig& config) {
-  return hex16(fnv1a64(apps::ProfileCache::synthetic_key(config)));
+  return text::hex16(fnv1a64(apps::ProfileCache::synthetic_key(config)));
 }
 
 /// CSV-safe rendering of a free-form message (no commas, no newlines).
@@ -161,10 +146,6 @@ CaseOutcome run_cycle_outcome(std::uint64_t index,
     if (options.search) {
       attach_search(outcome, c, options);
     }
-  } catch (const store::StoreError&) {
-    // Transient by classification (a flaky filesystem, not a property of
-    // the design): propagate so the supervisor can retry with backoff.
-    throw;
   } catch (const std::exception& e) {
     outcome.error = e.what();
   }
@@ -218,8 +199,6 @@ CaseOutcome run_analytic_outcome(std::uint64_t index,
     if (options.search) {
       attach_search(outcome, c, options);
     }
-  } catch (const store::StoreError&) {
-    throw;  // Transient: the supervisor retries with backoff.
   } catch (const std::exception& e) {
     outcome.error = e.what();
   }
@@ -315,14 +294,13 @@ struct CampaignState {
   CampaignOptions options;
   tiers::TieredEvaluator evaluator;
   apps::ProfileCache profile_cache;
-  std::shared_ptr<store::Store> disk;
 };
 
 using CaseBody = std::function<CaseOutcome(
     const std::shared_ptr<CampaignState>&, std::uint64_t)>;
 
 /// One supervised batch over `indices`: restored rows come straight from
-/// the journal replay, live rows run under the watchdog/retry/stop-gate
+/// the journal replay, live rows run under the watchdog/stop-gate
 /// supervisor, and every settled row (ok or quarantined) is journaled the
 /// moment it finishes — a SIGKILL loses at most the in-flight jobs.
 std::vector<CaseOutcome> run_case_batch(
@@ -358,11 +336,6 @@ std::vector<CaseOutcome> run_case_batch(
 
   sys::SuperviseOptions supervise;
   supervise.job_timeout_seconds = state->options.job_timeout_seconds;
-  supervise.transient_retries = state->options.transient_retries;
-  supervise.backoff_initial_seconds = state->options.backoff_initial_seconds;
-  supervise.is_transient = [](const std::exception& e) {
-    return dynamic_cast<const store::StoreError*>(&e) != nullptr;
-  };
   supervise.stop_requested = state->options.stop_requested;
 
   std::vector<sys::BatchRunner::Job<CaseOutcome>> jobs;
@@ -416,7 +389,7 @@ std::vector<CaseOutcome> run_case_batch(
 }  // namespace
 
 std::string campaign_fingerprint(const CampaignOptions& options) {
-  using store::hexf;
+  using text::hexf;
   const SweepSpace& space = options.space;
   const OracleBounds& bounds = options.bounds;
   std::ostringstream s;
@@ -448,7 +421,7 @@ std::string campaign_fingerprint(const CampaignOptions& options) {
     s << "|search anneal r" << options.search_restarts << " i"
       << options.search_iterations;
   }
-  return hex16(fnv1a64(s.str()));
+  return text::hex16(fnv1a64(s.str()));
 }
 
 apps::SyntheticConfig sample_config(const SweepSpace& space,
@@ -581,8 +554,8 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   // One evaluator for the whole campaign: one theta probe, one congruence
   // cache. estimate() is thread-safe and pure, so sharing it across jobs
   // never breaks the determinism contract. The profile cache memoizes
-  // QUAD runs across design points; with a store attached both caches
-  // gain a persistent L2 tier shared across processes and shards. All of
+  // synthetic profiles across design points. Both are in-memory only:
+  // each is cheap to rebuild from its config (docs/MODEL.md §15). All of
   // it lives behind one shared_ptr (CampaignState) so watchdog-abandoned
   // attempts never dangle into this frame.
   auto state = std::make_shared<CampaignState>();
@@ -590,15 +563,6 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   state->profile_cache.set_capacity(
       static_cast<std::size_t>(options.profile_cache_max_entries),
       options.profile_cache_max_bytes);
-  if (!options.store_dir.empty()) {
-    state->disk = std::make_shared<store::Store>(options.store_dir);
-    state->profile_cache.set_l2(
-        std::make_shared<store::ProfileStoreL2>(state->disk));
-    state->evaluator.set_estimate_l2(std::make_shared<store::EstimateStoreL2>(
-        state->disk,
-        store::estimate_scope(state->evaluator.platform(),
-                              state->evaluator.calibration())));
-  }
   sys::BatchRunner runner{options.threads};
 
   // Run journal (docs/MODEL.md §17): replay the ledger first when
@@ -685,34 +649,20 @@ CampaignResult run_campaign(const CampaignOptions& options) {
       }
       const std::uint64_t cap = effective_rank_cap(options);
       result.tier_stats.rank_cap = cap;
-      double best_upper = 0.0;
-      bool have_upper = false;
-      for (const tiers::TierEstimate* estimate : estimates) {
-        if (estimate != nullptr &&
-            (!have_upper ||
-             estimate->designed_upper_seconds < best_upper)) {
-          best_upper = estimate->designed_upper_seconds;
-          have_upper = true;
-        }
-      }
-      for (std::size_t i = 0; i < estimates.size(); ++i) {
-        if (estimates[i] != nullptr && !oracle_demands[i] &&
-            estimates[i]->designed_lower_seconds <= best_upper) {
-          ++result.tier_stats.rank_contenders;
-        }
-      }
-      const std::vector<tiers::EscalationReason> reasons =
+      tiers::EscalationPlan plan =
           tiers::select_escalations(estimates, oracle_demands, cap);
+      result.tier_stats.rank_contenders = plan.rank_contenders;
 
       // Phase 3: cycle-accurate evaluation of the escalated designs.
       std::vector<std::uint64_t> escalated;
-      for (std::uint64_t index = 0; index < reasons.size(); ++index) {
-        if (reasons[index] != tiers::EscalationReason::kNone) {
+      for (std::uint64_t index = 0; index < plan.reasons.size(); ++index) {
+        if (plan.reasons[index] != tiers::EscalationReason::kNone) {
           escalated.push_back(index);
         }
       }
       auto shared_reasons =
-          std::make_shared<std::vector<tiers::EscalationReason>>(reasons);
+          std::make_shared<std::vector<tiers::EscalationReason>>(
+              std::move(plan.reasons));
       const CaseBody cycle_body = [shared_reasons](
                                       const std::shared_ptr<CampaignState>& s,
                                       std::uint64_t index) {
@@ -735,13 +685,8 @@ CampaignResult run_campaign(const CampaignOptions& options) {
   finalize_tier_record(result, options);
 
   // Live counters for stdout reporting (never the CSV/REPORT: they vary
-  // with thread count, shard split, and store warmth).
+  // with thread count and shard split).
   result.profile_cache_stats = state->profile_cache.stats();
-  result.estimate_l2_hits = state->evaluator.cache().l2_hits();
-  result.estimate_l2_stores = state->evaluator.cache().l2_stores();
-  if (state->disk != nullptr) {
-    result.store_stats = state->disk->stats();
-  }
   if (options.stop_requested != nullptr &&
       options.stop_requested->load(std::memory_order_relaxed)) {
     result.interrupted = true;
@@ -845,19 +790,20 @@ std::string campaign_csv(const CampaignResult& result) {
   out << ",quarantined,error\n";
   for (const CaseOutcome& c : result.cases) {
     out << c.index << ',' << c.config.seed << ',' << c.config.kernel_count
-        << ',' << fmt(c.config.kernel_edge_probability) << ','
+        << ',' << decimal17(c.config.kernel_edge_probability) << ','
         << c.config.min_edge_bytes << ',' << c.config.max_edge_bytes << ','
         << c.config.min_work_units << ',' << c.config.max_work_units << ','
-        << fmt(c.config.duplicable_probability) << ','
-        << fmt(c.config.streaming_probability) << ','
+        << decimal17(c.config.duplicable_probability) << ','
+        << decimal17(c.config.streaming_probability) << ','
         << csv_safe(c.solution_tag);
     // Analytic-only rows never ran a simulator: their cycle timings are
     // "-" (absent), not zero.
     if (c.simulated) {
-      out << ',' << fmt(c.baseline_seconds) << ',' << fmt(c.designed_seconds)
-          << ',' << fmt(c.crossbar_seconds) << ','
-          << fmt(c.pipelined_makespan_seconds) << ','
-          << fmt(c.measured_designed_kernel_seconds);
+      out << ',' << decimal17(c.baseline_seconds) << ','
+          << decimal17(c.designed_seconds) << ','
+          << decimal17(c.crossbar_seconds) << ','
+          << decimal17(c.pipelined_makespan_seconds) << ','
+          << decimal17(c.measured_designed_kernel_seconds);
     } else {
       out << ",-,-,-,-,-";
     }
@@ -879,10 +825,10 @@ std::string campaign_csv(const CampaignResult& result) {
       out << ',' << c.tier_name() << ',' << to_string(c.escalation);
     }
     if (c.analytic.has_value()) {
-      out << ',' << fmt(c.analytic->baseline_kernel_seconds) << ','
-          << fmt(c.analytic->designed_kernel_seconds) << ','
-          << fmt(c.analytic->designed_lower_seconds) << ','
-          << fmt(c.analytic->designed_upper_seconds) << ','
+      out << ',' << decimal17(c.analytic->baseline_kernel_seconds) << ','
+          << decimal17(c.analytic->designed_kernel_seconds) << ','
+          << decimal17(c.analytic->designed_lower_seconds) << ','
+          << decimal17(c.analytic->designed_upper_seconds) << ','
           << c.analytic->noc_hop_bytes << ','
           << hex_key(c.analytic->congruence_key) << ','
           << (c.congruent ? '1' : '0');
@@ -898,9 +844,9 @@ std::string campaign_csv(const CampaignResult& result) {
       if (c.searched.has_value()) {
         const search::SearchRecord& s = *c.searched;
         out << ',' << csv_safe(s.solution_tag) << ','
-            << fmt(s.analytic_seconds) << ','
-            << fmt(s.algorithm1_analytic_seconds) << ',' << s.luts << ','
-            << s.algorithm1_luts << ',' << fmt(s.gain) << ','
+            << decimal17(s.analytic_seconds) << ','
+            << decimal17(s.algorithm1_analytic_seconds) << ',' << s.luts << ','
+            << s.algorithm1_luts << ',' << decimal17(s.gain) << ','
             << s.best_restart << ',' << s.proposed << ',' << s.accepted
             << ',' << s.rejected_illegal << ',' << s.cache_hits;
       } else {
@@ -912,7 +858,7 @@ std::string campaign_csv(const CampaignResult& result) {
           << ',' << c.cut_bytes;
       // The multi run only exists on simulated multi-board rows.
       if (c.simulated && c.config.board_count > 1) {
-        out << ',' << fmt(c.multi_total_seconds) << ','
+        out << ',' << decimal17(c.multi_total_seconds) << ','
             << c.inter_board_bytes << ',' << c.board_link_reroutes;
       } else {
         out << ",-,-,-";

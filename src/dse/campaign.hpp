@@ -19,7 +19,6 @@
 #include "dse/oracles.hpp"
 #include "dse/reproducer.hpp"
 #include "search/anneal.hpp"
-#include "store/store.hpp"
 #include "tiers/tiered_evaluator.hpp"
 
 namespace hybridic::dse {
@@ -65,9 +64,9 @@ struct CaseOutcome {
   std::vector<OracleResult> oracles;
   std::string error;  ///< Exception message when the case itself failed.
   /// Poison job: the supervised runner abandoned it (wall-clock watchdog
-  /// expired) or it crashed past its transient retry budget. The row
-  /// keeps its config but carries no timings or oracle verdicts; `error`
-  /// holds the deterministic "quarantined: ..." note.
+  /// expired) or the job body threw. The row keeps its config but carries
+  /// no timings or oracle verdicts; `error` holds the deterministic
+  /// "quarantined: ..." note.
   bool quarantined = false;
   /// Never ran: a graceful drain (SIGINT/SIGTERM) stopped admission
   /// before this job started. Skipped rows are NOT journaled, so a
@@ -92,8 +91,8 @@ struct CaseOutcome {
   /// An earlier index produced the same congruence key (serial, in index
   /// order, so the flag is thread-count invariant).
   bool congruent = false;
-  /// Content hash of this row's profile identity (the profile cache / L2
-  /// store key for the config) — 16 hex digits, derived purely from the
+  /// Content hash of this row's profile identity (the profile cache key
+  /// for the config) — 16 hex digits, derived purely from the
   /// config, so it is shard- and thread-count invariant.
   std::string profile_key;
   /// An earlier index shares profile_key (serial first-seen pass, like
@@ -147,19 +146,15 @@ struct CampaignOptions {
   /// only the most promising contenders (lowest analytic lower bounds).
   std::uint64_t max_rank_escalations = 0;
 
-  // ---- Persistent store + sharding (docs/MODEL.md §15). ----
-  /// Root of the content-addressed result store; empty = in-memory only.
-  /// Profiles and analytic estimates are read through / written back, so
-  /// a restarted process (or a sibling shard) reuses them.
-  std::string store_dir;
+  // ---- Sharding (docs/MODEL.md §15). ----
   /// This process evaluates indices where index % shard_count ==
   /// shard_index; rows keep their global indices. shard_count > 1 is
   /// rejected for --tier=auto (escalation selection needs every
   /// estimate, which no single shard holds).
   std::uint64_t shard_index = 0;
   std::uint64_t shard_count = 1;
-  /// In-memory profile-cache caps (0 = unbounded). Evicted entries fall
-  /// back to the store when one is attached.
+  /// In-memory profile-cache caps (0 = unbounded). An evicted profile is
+  /// rebuilt from its config on the next request.
   std::uint64_t profile_cache_max_entries = 64;
   std::uint64_t profile_cache_max_bytes = 0;
 
@@ -173,10 +168,6 @@ struct CampaignOptions {
   /// Per-job wall-clock watchdog in seconds; 0 = none. A job that
   /// exceeds it is abandoned and quarantined, never retried.
   double job_timeout_seconds = 0.0;
-  /// Bounded retry budget for transient failures (store::StoreError — a
-  /// flaky filesystem, not a logic bug).
-  std::uint32_t transient_retries = 2;
-  double backoff_initial_seconds = 0.005;
   /// Shrink budget per quarantined job (supervised probes; each probe of
   /// a genuinely wedged candidate costs a full watchdog timeout).
   std::uint32_t quarantine_shrink_attempts = 8;
@@ -237,13 +228,10 @@ struct CampaignResult {
   /// searched_* columns and the REPORT gains the Pareto section.
   bool searched = false;
 
-  // ---- Live cache/store counters. Machine- and run-dependent (they vary
-  // with thread count and store warmth), so they go to stdout only —
-  // never into the CSV or REPORT, which stay byte-identical.
+  // ---- Live cache counters. Run-dependent (they vary with thread
+  // count), so they go to stdout only — never into the CSV or REPORT,
+  // which stay byte-identical.
   apps::ProfileCacheStats profile_cache_stats;
-  std::uint64_t estimate_l2_hits = 0;
-  std::uint64_t estimate_l2_stores = 0;
-  std::optional<store::StoreStats> store_stats;  ///< Set when store_dir used.
 
   // ---- Crash-safety record (docs/MODEL.md §17). ----
   std::uint64_t quarantined_count = 0;  ///< Poison jobs fenced off.

@@ -10,6 +10,7 @@ namespace hybridic::dse {
 
 namespace {
 
+using text::hexf;
 using text::parse_bool;
 using text::parse_f64;
 using text::parse_u32;
@@ -21,7 +22,6 @@ constexpr const char* kMagic = "outcome 1";
 }  // namespace
 
 std::string encode_outcome(const CaseOutcome& o) {
-  using store::hexf;
   std::ostringstream out;
   out << kMagic << '\n';
   out << "index " << o.index << '\n';

@@ -26,13 +26,6 @@ void take(text::JsonObject& fields, const std::string& key,
   fields.erase(it);
 }
 
-std::string fmt_probability(double v) {
-  std::ostringstream out;
-  out.precision(17);
-  out << v;
-  return out.str();
-}
-
 }  // namespace
 
 std::string to_json(const Reproducer& r) {
@@ -48,15 +41,15 @@ std::string to_json(const Reproducer& r) {
   out << "    \"host_function_count\": " << r.config.host_function_count
       << ",\n";
   out << "    \"kernel_edge_probability\": "
-      << fmt_probability(r.config.kernel_edge_probability) << ",\n";
+      << text::decimal17(r.config.kernel_edge_probability) << ",\n";
   out << "    \"min_edge_bytes\": " << r.config.min_edge_bytes << ",\n";
   out << "    \"max_edge_bytes\": " << r.config.max_edge_bytes << ",\n";
   out << "    \"min_work_units\": " << r.config.min_work_units << ",\n";
   out << "    \"max_work_units\": " << r.config.max_work_units << ",\n";
   out << "    \"duplicable_probability\": "
-      << fmt_probability(r.config.duplicable_probability) << ",\n";
+      << text::decimal17(r.config.duplicable_probability) << ",\n";
   out << "    \"streaming_probability\": "
-      << fmt_probability(r.config.streaming_probability) << ",\n";
+      << text::decimal17(r.config.streaming_probability) << ",\n";
   // Board fields only appear for multi-board configs, so every
   // single-board reproducer (including the checked-in fixtures) keeps its
   // historical byte-exact shape.

@@ -1,9 +1,6 @@
 #include "store/adapters.hpp"
 
-#include <sstream>
-
 #include "store/codec.hpp"
-#include "util/hash.hpp"
 
 namespace hybridic::store {
 
@@ -33,99 +30,6 @@ void ProfileStoreL2::store(const std::string& key,
 }
 
 std::uint64_t ProfileStoreL2::store_failures() const {
-  return store_failures_.load(std::memory_order_relaxed);
-}
-
-std::string estimate_scope(const sys::PlatformConfig& platform,
-                           const tiers::TierCalibration& calibration) {
-  // Everything analytic_estimate() and the band calibration read. Order
-  // and formatting are part of the persistent format: change them (or add
-  // a field) only together with a kEngineRevision bump.
-  std::ostringstream text;
-  text << "host=" << platform.host_clock.hertz()
-       << ";kernel=" << platform.kernel_clock.hertz()
-       << ";bus=" << platform.bus_clock.hertz()
-       << ";noc=" << platform.noc_clock.hertz()
-       << ";busw=" << platform.bus.width_bytes
-       << ";burst=" << platform.bus.max_burst_beats
-       << ";arb=" << platform.bus.arbitration_cycles.count()
-       << ";addr=" << platform.bus.address_cycles.count()
-       << ";masters=" << platform.bus.master_count
-       << ";dmasetup=" << platform.dma.setup_cycles.count()
-       << ";dmachunk=" << platform.dma.chunk_bytes
-       << ";sdramw=" << platform.sdram.width_bytes
-       << ";sdramlat=" << platform.sdram.access_latency.count()
-       << ";payload=" << platform.noc.max_packet_payload_bytes
-       << ";routing=" << platform.noc.routing
-       << ";rbuf=" << platform.noc.router.buffer_flits
-       << ";rpipe=" << platform.noc.router.pipeline_cycles
-       << ";bram=" << platform.bram_capacity.count()
-       << ";bramw=" << platform.bram_port_width_bytes
-       << ";ostream=" << hexf(platform.stream_overhead_seconds)
-       << ";odup=" << hexf(platform.duplication_overhead_seconds)
-       << ";bband=" << hexf(calibration.baseline_band)
-       << ";dband=" << hexf(calibration.designed_band);
-  // Hash down to a short stable token — the full text stays debuggable in
-  // this function, the key stays short on disk.
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fnv1a64(text.str())));
-  return std::string{buf};
-}
-
-std::string estimate_scope(const sys::MultiBoardConfig& config,
-                           const tiers::TierCalibration& calibration) {
-  // Chain the per-board scopes, then append the inter-board dimensions.
-  // The "mb;" prefix keeps even a 1-board multi scope distinct from the
-  // single-board scope of the same platform.
-  std::ostringstream text;
-  text << "mb;boards=" << config.board_count()
-       << ";topo=" << core::to_string(config.topology)
-       << ";lat=" << hexf(config.link.latency_seconds)
-       << ";bw=" << hexf(config.link.bandwidth_bytes_per_second)
-       << ";pseed=" << config.partition_seed
-       << ";iband=" << hexf(calibration.inter_board_band);
-  for (const sys::PlatformConfig& board : config.boards) {
-    text << ";b=" << estimate_scope(board, calibration);
-  }
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fnv1a64(text.str())));
-  return std::string{buf};
-}
-
-EstimateStoreL2::EstimateStoreL2(std::shared_ptr<Store> backing,
-                                 std::string scope)
-    : backing_(std::move(backing)), scope_(std::move(scope)) {}
-
-std::string EstimateStoreL2::store_key(const std::string& scope,
-                                       std::uint64_t key) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(key));
-  return "estimate/rev=" + std::to_string(kEngineRevision) +
-         "/scope=" + scope + "/sig=" + std::string{buf};
-}
-
-std::optional<tiers::TierEstimate> EstimateStoreL2::load(std::uint64_t key) {
-  const std::optional<std::string> payload =
-      backing_->get(store_key(scope_, key));
-  if (!payload.has_value()) {
-    return std::nullopt;
-  }
-  return decode_estimate(*payload);  // nullopt on damage — a miss.
-}
-
-void EstimateStoreL2::store(std::uint64_t key,
-                            const tiers::TierEstimate& estimate) {
-  try {
-    backing_->put(store_key(scope_, key), encode_estimate(estimate));
-  } catch (...) {
-    store_failures_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-std::uint64_t EstimateStoreL2::store_failures() const {
   return store_failures_.load(std::memory_order_relaxed);
 }
 

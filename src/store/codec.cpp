@@ -1,6 +1,5 @@
 #include "store/codec.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "util/text.hpp"
@@ -9,6 +8,7 @@ namespace hybridic::store {
 
 namespace {
 
+using text::hexf;
 using text::parse_bool;
 using text::parse_f64;
 using text::parse_u32;
@@ -19,12 +19,6 @@ constexpr const char* kProfileMagic = "profile 1";
 constexpr const char* kEstimateMagic = "estimate 2";
 
 }  // namespace
-
-std::string hexf(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%a", value);
-  return std::string{buf};
-}
 
 std::string encode_profile(const apps::ProfiledApp& app) {
   const prof::ProfileSnapshot snap = app.profiler->snapshot();

@@ -3,12 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "util/hash.hpp"
+#include "util/text.hpp"
 
 namespace hybridic::store {
 
@@ -21,13 +21,6 @@ namespace {
 // where sum = fnv1a64(fingerprint + '\0' + key + '\0' + raw payload)
 // and the payload escapes '\\' -> "\\\\", '\n' -> "\\n", '\r' -> "\\r".
 constexpr const char* kMagic = "J1";
-
-std::string hex64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string{buf};
-}
 
 bool parse_hex64(const std::string& text, std::uint64_t& value) {
   if (text.size() != 16) {
@@ -158,7 +151,7 @@ void Journal::append(const std::string& fingerprint, const std::string& key,
   line += ' ';
   line += fingerprint;
   line += ' ';
-  line += hex64(record_sum(fingerprint, key, payload));
+  line += text::hex16(record_sum(fingerprint, key, payload));
   line += ' ';
   line += key;
   line += ' ';

@@ -1,9 +1,7 @@
 #include "store/store.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -18,13 +16,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kMagic = "hybridic-store 1";
-
-std::string hex64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string{buf};
-}
 
 }  // namespace
 
@@ -46,7 +37,7 @@ std::string Store::object_name(const std::string& key) {
   const std::uint64_t h1 = splitmix64(fnv1a64(key));
   const std::uint64_t h2 =
       splitmix64(fnv1a64(key, 0x84222325cbf29ce4ULL));
-  return hex64(h1) + hex64(h2);
+  return text::hex16(h1) + text::hex16(h2);
 }
 
 std::string Store::object_path(const std::string& key) const {
@@ -70,7 +61,7 @@ void Store::put(const std::string& key, const std::string& payload) {
        << key << '\n'
        << "len " << payload.size() << '\n'
        << payload << '\n'
-       << "sum " << hex64(fnv1a64(payload)) << '\n';
+       << "sum " << text::hex16(fnv1a64(payload)) << '\n';
   const std::string bytes = blob.str();
 
   const std::string name = object_name(key);
@@ -103,21 +94,6 @@ void Store::put(const std::string& key, const std::string& payload) {
                      "': " + ec.message()};
   }
   puts_.fetch_add(1, std::memory_order_relaxed);
-
-  // Index append: one write(2) on an O_APPEND descriptor, so lines from
-  // concurrent processes interleave whole, never torn mid-line (for the
-  // short lines we write). Best effort — the index is a convenience
-  // listing, not the source of truth.
-  const std::string line = name + " " + std::to_string(key.size()) + " " +
-                           key + "\n";
-  const std::string index_path = (fs::path{root_} / "index.log").string();
-  const int fd = ::open(index_path.c_str(),
-                        O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-  if (fd >= 0) {
-    const ssize_t written [[maybe_unused]] =
-        ::write(fd, line.data(), line.size());
-    ::close(fd);
-  }
 }
 
 std::optional<std::string> Store::get(const std::string& key) const {
@@ -162,41 +138,11 @@ std::optional<std::string> Store::get(const std::string& key) const {
   std::string payload;
   if (!reader.take_sized("len", payload) ||
       !reader.take_tagged("sum", line) ||
-      line != hex64(fnv1a64(payload)) || !reader.at_end()) {
+      line != text::hex16(fnv1a64(payload)) || !reader.at_end()) {
     return damaged();
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
   return payload;
-}
-
-std::vector<std::pair<std::string, std::string>> Store::read_index() const {
-  std::vector<std::pair<std::string, std::string>> result;
-  std::ifstream in{(fs::path{root_} / "index.log").string(),
-                   std::ios::binary};
-  if (!in.is_open()) {
-    return result;
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    // "<32 hex> <keylen> <key>" — validate shape, skip damage.
-    const std::size_t sp1 = line.find(' ');
-    if (sp1 != 32) {
-      continue;
-    }
-    const std::size_t sp2 = line.find(' ', sp1 + 1);
-    if (sp2 == std::string::npos) {
-      continue;
-    }
-    std::uint64_t key_len = 0;
-    if (!text::parse_u64(line.substr(sp1 + 1, sp2 - sp1 - 1), key_len)) {
-      continue;
-    }
-    if (line.size() - sp2 - 1 != key_len) {
-      continue;  // Torn or concatenated line.
-    }
-    result.emplace_back(line.substr(0, 32), line.substr(sp2 + 1));
-  }
-  return result;
 }
 
 StoreStats Store::stats() const {

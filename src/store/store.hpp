@@ -1,11 +1,10 @@
 // Persistent content-addressed artifact store (docs/MODEL.md §15).
 //
-// Expensive artifacts — communication profiles, analytic tier estimates —
-// are deterministic functions of their canonical key (application or
-// SyntheticConfig knobs, platform fingerprint, engine revision). The store
-// maps such keys to payload blobs on disk so warm-path performance
-// survives process restarts and is shared across concurrently running
-// campaign shards:
+// Profiles of the tracked paper apps are the one artifact that is
+// expensive to recompute (a full QUAD run) and a deterministic function
+// of its canonical key (application, engine revision). The store maps
+// such keys to payload blobs on disk so `hybridic_cli --store` skips the
+// profiling pass on a warm restart:
 //
 //  - Content addressing: the object file name is a 128-bit hash of the
 //    full key; the key itself is embedded in the entry and verified on
@@ -20,9 +19,6 @@
 //  - Corruption tolerance: a truncated, tampered, or wrong-format entry
 //    fails its structural checks or payload checksum and reads as a miss.
 //    get() never throws for bad entries.
-//  - Shared index: puts append one line to index.log with a single
-//    O_APPEND write, which multiple processes may do concurrently; the
-//    reader skips malformed lines (e.g. a torn final line).
 #pragma once
 
 #include <atomic>
@@ -30,8 +26,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace hybridic::store {
 
@@ -58,14 +52,13 @@ public:
   /// Open (creating if needed) a store rooted at `root`. Layout:
   ///   root/objects/<2 hex>/<32 hex>   entries
   ///   root/tmp/                       in-flight writes
-  ///   root/index.log                  append-only key log
   explicit Store(std::string root);
 
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
 
-  /// Publish `payload` under `key` (atomic write + rename; appends to the
-  /// index). Throws StoreError when the filesystem rejects the write.
+  /// Publish `payload` under `key` (atomic write + rename). Throws
+  /// StoreError when the filesystem rejects the write.
   void put(const std::string& key, const std::string& payload);
 
   /// The payload stored under `key`, or nullopt on miss — where "miss"
@@ -80,12 +73,6 @@ public:
 
   /// Absolute path the entry for `key` lives at.
   [[nodiscard]] std::string object_path(const std::string& key) const;
-
-  /// All (object_name, key) pairs ever appended to the index, in append
-  /// order, skipping malformed lines. Multiple writers may have
-  /// interleaved appends; duplicates are possible and harmless.
-  [[nodiscard]] std::vector<std::pair<std::string, std::string>> read_index()
-      const;
 
   [[nodiscard]] StoreStats stats() const;
 

@@ -39,13 +39,9 @@ JobStatus probe_supervised(const std::function<void()>& fn,
     fn();
     return 0;
   };
-  JobContext context{"probe", 0, Rng{0}, 0};
-  const detail::AttemptOutcome<int> outcome =
-      timeout_seconds > 0.0
-          ? detail::attempt_with_watchdog<int>(wrapped, std::move(context),
-                                               nullptr, timeout_seconds)
-          : detail::run_attempt<int>(wrapped, context, nullptr);
-  return outcome.status;
+  return detail::attempt<int>(wrapped, JobContext{"probe", 0, Rng{0}, 0},
+                              timeout_seconds)
+      .status;
 }
 
 std::uint64_t job_seed(std::string_view key) {

@@ -17,12 +17,11 @@
 // inspect last_report() for the full picture.
 //
 // Supervised batches (docs/MODEL.md §17) add a crash-safety layer on the
-// same pool: a per-job wall-clock watchdog (the attempt runs on its own
-// thread and is abandoned when the budget expires), bounded retry with
-// exponential backoff for failures a caller-supplied predicate classifies
-// as transient, and an admission gate that skips not-yet-started jobs
-// once a stop flag is raised. Supervised jobs never poison the batch:
-// every job ends in exactly one of ok / crashed / timeout / skipped.
+// same pool: a per-job wall-clock watchdog (the job runs on its own
+// thread and is abandoned when the budget expires) and an admission gate
+// that skips not-yet-started jobs once a stop flag is raised. Each job
+// makes exactly one attempt and never poisons the batch: every job ends
+// in exactly one of ok / crashed / timeout / skipped.
 #pragma once
 
 #include <atomic>
@@ -46,7 +45,7 @@ namespace hybridic::sys {
 /// Terminal state of one supervised job.
 enum class JobStatus : std::uint8_t {
   kOk = 0,
-  kCrashed,  ///< Threw: non-transient, or the transient retry budget ran out.
+  kCrashed,  ///< Threw.
   kTimeout,  ///< The wall-clock watchdog expired; the attempt was abandoned.
   kSkipped,  ///< Never started: stop was requested before admission.
 };
@@ -65,29 +64,20 @@ enum class JobStatus : std::uint8_t {
                                          double timeout_seconds);
 
 struct SuperviseOptions {
-  /// Per-attempt wall-clock budget in seconds; 0 disables the watchdog
-  /// (attempts then run inline on the pool worker).
+  /// Per-job wall-clock budget in seconds; 0 disables the watchdog (jobs
+  /// then run inline on the pool worker).
   double job_timeout_seconds = 0.0;
-  /// Extra attempts granted when `is_transient` classifies a thrown
-  /// failure as retryable (a flaky filesystem, not a logic bug).
-  std::uint32_t transient_retries = 0;
-  /// Delay before the first retry; doubles on each subsequent retry.
-  double backoff_initial_seconds = 0.005;
-  /// Classifies a thrown exception as transient (retryable). Empty =
-  /// nothing is transient. Called on the attempt thread.
-  std::function<bool(const std::exception&)> is_transient;
-  /// Admission gate: when set and true, jobs (and retries) that have not
-  /// started yet finish as kSkipped; in-flight attempts still run to
-  /// completion (bounded by the watchdog when one is configured).
+  /// Admission gate: when set and true, jobs that have not started yet
+  /// finish as kSkipped; in-flight jobs still run to completion (bounded
+  /// by the watchdog when one is configured).
   const std::atomic<bool>* stop_requested = nullptr;
 };
 
 template <typename R>
 struct SupervisedResult {
   JobStatus status = JobStatus::kSkipped;
-  std::optional<R> value;      ///< Present exactly when status == kOk.
-  std::string error;           ///< Failure/timeout/skip message otherwise.
-  std::uint32_t attempts = 0;  ///< Attempts actually started.
+  std::optional<R> value;  ///< Present exactly when status == kOk.
+  std::string error;       ///< Failure/timeout/skip message otherwise.
 };
 
 /// Handed to each job; everything a job may depend on beyond its inputs.
@@ -107,11 +97,9 @@ struct JobReport {
   double wall_seconds = 0.0;
   bool ok = true;
   std::string error;           ///< Exception message when !ok.
-  /// Supervised batches only (run_supervised): terminal state and the
-  /// number of attempts started. Plain run()/run_collect() leave the
-  /// defaults (kOk / 1).
+  /// Supervised batches only (run_supervised): terminal state. Plain
+  /// run()/run_collect() leave the default (kOk).
   JobStatus status = JobStatus::kOk;
-  std::uint32_t attempts = 1;
 };
 
 /// Metrics for the last run() batch.
@@ -153,27 +141,17 @@ struct NonDeduced {
 template <typename T>
 using non_deduced_t = typename NonDeduced<T>::type;
 
+/// One attempt body: run the job, record any failure. Never throws.
 template <typename R>
-struct AttemptOutcome {
-  JobStatus status = JobStatus::kCrashed;
-  std::optional<R> value;
-  std::string error;
-  bool transient = false;
-};
-
-/// One attempt body: run the job, classify any failure. Never throws.
-template <typename R>
-AttemptOutcome<R> run_attempt(
-    const std::function<R(JobContext&)>& fn, JobContext& context,
-    const std::function<bool(const std::exception&)>& classify) {
-  AttemptOutcome<R> outcome;
+SupervisedResult<R> run_attempt(const std::function<R(JobContext&)>& fn,
+                                JobContext& context) {
+  SupervisedResult<R> outcome;
   try {
     outcome.value.emplace(fn(context));
     outcome.status = JobStatus::kOk;
   } catch (const std::exception& e) {
     outcome.status = JobStatus::kCrashed;
     outcome.error = e.what();
-    outcome.transient = classify && classify(e);
   } catch (...) {
     outcome.status = JobStatus::kCrashed;
     outcome.error = "unknown exception";
@@ -188,20 +166,19 @@ AttemptOutcome<R> run_attempt(
 /// caller's frame; a late completion writes only into state the thread
 /// itself keeps alive.
 template <typename R>
-AttemptOutcome<R> attempt_with_watchdog(
-    std::function<R(JobContext&)> fn, JobContext context,
-    std::function<bool(const std::exception&)> classify,
-    double timeout_seconds) {
+SupervisedResult<R> attempt_with_watchdog(std::function<R(JobContext&)> fn,
+                                          JobContext context,
+                                          double timeout_seconds) {
   struct Shared {
     std::mutex mutex;
     std::condition_variable cv;
     bool done = false;
-    AttemptOutcome<R> outcome;
+    SupervisedResult<R> outcome;
   };
   auto shared = std::make_shared<Shared>();
-  std::thread worker{[shared, fn = std::move(fn), classify = std::move(classify),
+  std::thread worker{[shared, fn = std::move(fn),
                       context = std::move(context)]() mutable {
-    AttemptOutcome<R> outcome = run_attempt<R>(fn, context, classify);
+    SupervisedResult<R> outcome = run_attempt<R>(fn, context);
     std::lock_guard<std::mutex> lock{shared->mutex};
     shared->outcome = std::move(outcome);
     shared->done = true;
@@ -215,17 +192,28 @@ AttemptOutcome<R> attempt_with_watchdog(
       lock, std::chrono::duration<double>{timeout_seconds},
       [&shared] { return shared->done; });
   if (finished) {
-    AttemptOutcome<R> outcome = std::move(shared->outcome);
+    SupervisedResult<R> outcome = std::move(shared->outcome);
     lock.unlock();
     worker.join();
     return outcome;
   }
   lock.unlock();
   worker.detach();
-  AttemptOutcome<R> timeout;
+  SupervisedResult<R> timeout;
   timeout.status = JobStatus::kTimeout;
   timeout.error = watchdog_expired_message(timeout_seconds);
   return timeout;
+}
+
+/// One attempt of `fn`: inline when `timeout_seconds` is 0, otherwise on
+/// its own thread under the watchdog.
+template <typename R>
+SupervisedResult<R> attempt(const std::function<R(JobContext&)>& fn,
+                            JobContext context, double timeout_seconds) {
+  return timeout_seconds > 0.0
+             ? attempt_with_watchdog<R>(fn, std::move(context),
+                                        timeout_seconds)
+             : run_attempt<R>(fn, context);
 }
 
 }  // namespace detail
@@ -281,11 +269,10 @@ public:
     return slots;
   }
 
-  /// As run_collect(), but each job runs under supervision: a per-attempt
-  /// wall-clock watchdog, bounded transient retry with exponential
-  /// backoff, and a stop-flag admission gate. Every slot reports exactly
-  /// one terminal status; nothing is rethrown. Results stay in submission
-  /// order and retries replay the job's own RNG stream from scratch, so
+  /// As run_collect(), but each job runs once under supervision: a
+  /// wall-clock watchdog and a stop-flag admission gate. Every slot
+  /// reports exactly one terminal status; nothing is rethrown. Results
+  /// stay in submission order and each job sees its own RNG stream, so
   /// supervision never perturbs the determinism contract.
   ///
   /// `on_settled`, when set, fires on the worker thread the moment a
@@ -324,7 +311,6 @@ public:
       JobReport& report = last_.jobs[i];
       const SupervisedResult<R>& slot = (*slots)[i];
       report.status = slot.status;
-      report.attempts = slot.attempts;
       if (slot.status != JobStatus::kOk) {
         report.ok = false;
         report.error = slot.error;
@@ -341,49 +327,20 @@ public:
   [[nodiscard]] const BatchReport& last_report() const { return last_; }
 
 private:
-  /// Supervision loop for one job: admission gate, backoff, bounded
-  /// retry. Runs on the pool worker that picked the job up; never throws.
+  /// Supervision for one job: admission gate, then one attempt (under
+  /// the watchdog when a budget is set). Runs on the pool worker that
+  /// picked the job up; never throws.
   template <typename R>
   static void supervise_one(const Job<R>& job, const JobContext& context,
                             const SuperviseOptions& options,
                             SupervisedResult<R>& slot) {
-    const std::uint32_t max_attempts = 1 + options.transient_retries;
-    double backoff = options.backoff_initial_seconds;
-    for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
-      if (options.stop_requested != nullptr &&
-          options.stop_requested->load(std::memory_order_relaxed)) {
-        slot.status = JobStatus::kSkipped;
-        slot.error = "skipped: stop requested before the job started";
-        return;
-      }
-      if (attempt > 0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>{backoff});
-        backoff *= 2.0;
-      }
-      ++slot.attempts;
-      // Every attempt replays the identical inputs: same key, same seed,
-      // a fresh RNG stream — a retried job cannot observe its own retry.
-      JobContext fresh{context.key, context.seed, Rng{context.seed},
-                       context.index};
-      detail::AttemptOutcome<R> outcome =
-          options.job_timeout_seconds > 0.0
-              ? detail::attempt_with_watchdog<R>(
-                    job.run, std::move(fresh), options.is_transient,
-                    options.job_timeout_seconds)
-              : detail::run_attempt<R>(job.run, fresh, options.is_transient);
-      slot.status = outcome.status;
-      slot.error = std::move(outcome.error);
-      if (outcome.status == JobStatus::kOk) {
-        slot.value = std::move(outcome.value);
-        return;
-      }
-      if (outcome.status == JobStatus::kTimeout || !outcome.transient) {
-        // A wedge is deterministic (retrying burns another full budget for
-        // the same answer) and a logic bug is not transient: both go
-        // straight to the caller's quarantine path.
-        return;
-      }
+    if (options.stop_requested != nullptr &&
+        options.stop_requested->load(std::memory_order_relaxed)) {
+      slot.status = JobStatus::kSkipped;
+      slot.error = "skipped: stop requested before the job started";
+      return;
     }
+    slot = detail::attempt<R>(job.run, context, options.job_timeout_seconds);
   }
 
   /// Run one keyed invocation per index on the pool; fills last_.

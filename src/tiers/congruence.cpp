@@ -1,7 +1,6 @@
 #include "tiers/congruence.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <numeric>
 #include <set>
@@ -11,16 +10,10 @@
 
 #include "core/kernel_model.hpp"
 #include "util/hash.hpp"
+#include "util/text.hpp"
 
 namespace hybridic::tiers {
 namespace {
-
-/// Exact, locale-free rendering of a double (hex float).
-std::string hexf(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%a", value);
-  return buffer;
-}
 
 /// The order-free part of one instance's record: everything about it
 /// except references to other instances.
@@ -31,8 +24,9 @@ std::string instance_record(const core::KernelInstance& inst,
   out << 'i' << static_cast<int>(inst.mapping.kernel) << ':'
       << static_cast<int>(inst.mapping.memory) << ':'
       << static_cast<int>(inst.comm_class.recv) << ':'
-      << static_cast<int>(inst.comm_class.send) << ':' << hexf(inst.work_share)
-      << ':' << inst.quantities.host_in.count() << ':'
+      << static_cast<int>(inst.comm_class.send) << ':'
+      << text::hexf(inst.work_share) << ':'
+      << inst.quantities.host_in.count() << ':'
       << inst.quantities.kernel_in.count() << ':'
       << inst.quantities.host_out.count() << ':'
       << inst.quantities.kernel_out.count() << ':'
@@ -93,7 +87,7 @@ std::string congruence_signature(const sys::AppSchedule& schedule,
   }
 
   std::ostringstream out;
-  out << "theta=" << hexf(theta_seconds_per_byte) << ';';
+  out << "theta=" << text::hexf(theta_seconds_per_byte) << ';';
   if (design.noc.has_value()) {
     out << "mesh=" << design.noc->mesh_width << 'x'
         << design.noc->mesh_height << ';';
@@ -166,7 +160,6 @@ std::uint64_t congruence_key_of(const std::string& signature) {
 
 TierEstimate CongruenceCache::get(
     std::uint64_t key, const std::function<TierEstimate()>& make) {
-  std::shared_ptr<EstimateL2> l2;
   {
     const std::lock_guard<std::mutex> lock{mutex_};
     const auto it = entries_.find(key);
@@ -174,52 +167,16 @@ TierEstimate CongruenceCache::get(
       ++hits_;
       return it->second;
     }
-    l2 = l2_;
   }
   // Compute outside the lock: estimates for one key are identical
   // whichever thread wins, so concurrent duplicate work is waste, not a
   // correctness problem — and analytic estimates are cheap enough that a
   // per-key future would cost more than the occasional double compute.
-  // The persistent tier is consulted first for the same reason: whatever
-  // it returns is the value a fresh compute would produce.
-  bool from_l2 = false;
-  TierEstimate estimate;
-  if (l2 != nullptr) {
-    if (std::optional<TierEstimate> stored = l2->load(key)) {
-      estimate = std::move(*stored);
-      from_l2 = true;
-    }
-  }
-  if (!from_l2) {
-    estimate = make();
-    estimate.congruence_key = key;
-    if (l2 != nullptr) {
-      l2->store(key, estimate);
-    }
-  }
+  TierEstimate estimate = make();
+  estimate.congruence_key = key;
   const std::lock_guard<std::mutex> lock{mutex_};
   ++misses_;
-  if (from_l2) {
-    ++l2_hits_;
-  } else if (l2 != nullptr) {
-    ++l2_stores_;
-  }
   return entries_.emplace(key, std::move(estimate)).first->second;
-}
-
-void CongruenceCache::set_l2(std::shared_ptr<EstimateL2> l2) {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  l2_ = std::move(l2);
-}
-
-std::uint64_t CongruenceCache::l2_hits() const {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  return l2_hits_;
-}
-
-std::uint64_t CongruenceCache::l2_stores() const {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  return l2_stores_;
 }
 
 std::uint64_t CongruenceCache::hits() const {
@@ -242,8 +199,6 @@ void CongruenceCache::clear() {
   entries_.clear();
   hits_ = 0;
   misses_ = 0;
-  l2_hits_ = 0;
-  l2_stores_ = 0;
 }
 
 }  // namespace hybridic::tiers

@@ -14,9 +14,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -34,54 +32,27 @@ namespace hybridic::tiers {
 /// 64-bit key of a signature (FNV-1a finalized with splitmix64).
 [[nodiscard]] std::uint64_t congruence_key_of(const std::string& signature);
 
-/// Second-level estimate backend under CongruenceCache (implemented by
-/// the persistent store in src/store/). Implementations must be
-/// thread-safe; any load failure must surface as nullopt — never as an
-/// exception — so a damaged store degrades to re-estimating.
-class EstimateL2 {
-public:
-  virtual ~EstimateL2() = default;
-
-  /// The estimate stored under `key`, or nullopt on miss.
-  [[nodiscard]] virtual std::optional<TierEstimate> load(
-      std::uint64_t key) = 0;
-
-  /// Persist `estimate` under `key` (best effort).
-  virtual void store(std::uint64_t key, const TierEstimate& estimate) = 0;
-};
-
-/// Thread-safe estimate memoizer keyed by congruence key. Values for one
-/// key are identical whichever thread computes first (the estimator is a
-/// pure function of the signature content), so the cache never affects
-/// results — only how often the estimator runs. An optional EstimateL2
-/// backend (the persistent store) is consulted on memory misses and fed
-/// on fresh computes, so analytic rows survive process restarts.
+/// Thread-safe, in-memory estimate memoizer keyed by congruence key.
+/// Values for one key are identical whichever thread computes first (the
+/// estimator is a pure function of the signature content), so the cache
+/// never affects results — only how often the estimator runs. Estimates
+/// are cheap to recompute, so nothing here persists across processes.
 class CongruenceCache {
 public:
   /// The cached estimate for `key`, computing it via `make` on miss.
   [[nodiscard]] TierEstimate get(std::uint64_t key,
                                  const std::function<TierEstimate()>& make);
 
-  /// Attach (or detach, with nullptr) the persistent L2 backend.
-  void set_l2(std::shared_ptr<EstimateL2> l2);
-
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
-  /// Memory misses served by the L2 backend without re-estimating.
-  [[nodiscard]] std::uint64_t l2_hits() const;
-  /// Freshly computed estimates published to the L2 backend.
-  [[nodiscard]] std::uint64_t l2_stores() const;
   [[nodiscard]] std::size_t size() const;
   void clear();
 
 private:
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, TierEstimate> entries_;
-  std::shared_ptr<EstimateL2> l2_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t l2_hits_ = 0;
-  std::uint64_t l2_stores_ = 0;
 };
 
 }  // namespace hybridic::tiers

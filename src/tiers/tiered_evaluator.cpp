@@ -96,12 +96,13 @@ TierEstimate TieredEvaluator::estimate(const sys::AppSchedule& schedule,
   });
 }
 
-std::vector<EscalationReason> select_escalations(
+EscalationPlan select_escalations(
     const std::vector<const TierEstimate*>& estimates,
     const std::vector<bool>& oracle_demands,
     std::uint64_t max_rank_escalations) {
-  std::vector<EscalationReason> reasons(estimates.size(),
-                                        EscalationReason::kNone);
+  EscalationPlan plan;
+  std::vector<EscalationReason>& reasons = plan.reasons;
+  reasons.assign(estimates.size(), EscalationReason::kNone);
   // The lowest guaranteed ceiling: some design provably finishes within
   // it, so any candidate whose lower bound clears it cannot win.
   double best_upper = std::numeric_limits<double>::infinity();
@@ -121,6 +122,7 @@ std::vector<EscalationReason> select_escalations(
       contenders.push_back(i);
     }
   }
+  plan.rank_contenders = contenders.size();
   // Cap by keeping the most promising (lowest lower-bound) contenders;
   // ties resolve by index so the set is thread-count independent.
   if (max_rank_escalations != 0 &&
@@ -136,7 +138,7 @@ std::vector<EscalationReason> select_escalations(
   for (const std::size_t i : contenders) {
     reasons[i] = EscalationReason::kRankOverlap;
   }
-  return reasons;
+  return plan;
 }
 
 }  // namespace hybridic::tiers

@@ -89,17 +89,18 @@ public:
   }
   [[nodiscard]] const CongruenceCache& cache() const { return cache_; }
 
-  /// Attach a persistent L2 tier behind the congruence cache: misses
-  /// consult it before computing, computed estimates are written back.
-  void set_estimate_l2(std::shared_ptr<EstimateL2> l2) {
-    cache_.set_l2(std::move(l2));
-  }
-
 private:
   sys::PlatformConfig platform_;
   TierCalibration calibration_;
   double theta_ = 0.0;
   CongruenceCache cache_;
+};
+
+/// The escalation decision for one ranked batch.
+struct EscalationPlan {
+  std::vector<EscalationReason> reasons;  ///< One per estimate, in order.
+  /// Rank-overlap contenders before the cap was applied.
+  std::uint64_t rank_contenders = 0;
 };
 
 /// Deterministic interval-pruning escalation over a ranked batch.
@@ -112,7 +113,7 @@ private:
 /// candidates among which the true winner may hide. `max_rank_escalations`
 /// caps the rank-overlap set (0 = uncapped), keeping the cheapest lower
 /// bounds first; the cap is reported, never silent.
-[[nodiscard]] std::vector<EscalationReason> select_escalations(
+[[nodiscard]] EscalationPlan select_escalations(
     const std::vector<const TierEstimate*>& estimates,
     const std::vector<bool>& oracle_demands,
     std::uint64_t max_rank_escalations = 0);

@@ -1,6 +1,7 @@
 #include "util/text.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -42,7 +43,11 @@ bool parse_f64(const std::string& text, double& value) {
   char* end = nullptr;
   errno = 0;
   value = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size() && errno != ERANGE;
+  // glibc flags an inexact subnormal result as ERANGE too; only a value
+  // flushed to zero or infinity is lost.
+  const bool lost =
+      errno == ERANGE && (value == 0.0 || std::isinf(value));
+  return end == text.c_str() + text.size() && !lost;
 }
 
 bool parse_bool(std::string_view text, bool& value) {
@@ -51,6 +56,25 @@ bool parse_bool(std::string_view text, bool& value) {
     return true;
   }
   return false;
+}
+
+std::string hex16(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(value));
+  return std::string{buf};
+}
+
+std::string decimal17(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return std::string{buf};
+}
+
+std::string hexf(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%a", value);
+  return std::string{buf};
 }
 
 std::vector<std::string> split_fields(std::string_view line) {

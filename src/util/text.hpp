@@ -5,6 +5,10 @@
 // readers document) and reports anything else as a failure, never as an
 // exception of its own. Callers map a failure to their documented error
 // class (ConfigError, a "usage" reply, exit code 2, a store miss).
+//
+// Next to the readers sit the one writer per number format those bytes
+// use: hex16 (hashes, checksums, fingerprints), decimal17 (CSV cells,
+// reproducer JSON, serve replies) and hexf (codec payloads, signatures).
 #pragma once
 
 #include <cstdint>
@@ -21,9 +25,10 @@ namespace hybridic::text {
 [[nodiscard]] bool parse_u32(std::string_view text, std::uint32_t& value);
 
 /// strtod over the whole token: false when empty, when it starts with
-/// whitespace, when bytes remain, or when strtod reports a range error
-/// (an inexact overflow or underflow; the exact "%a" hex-floats the
-/// codecs write never raise one). It stays strtod, not a hand-written
+/// whitespace, when bytes remain, or when the value is lost to a range
+/// error (an overflow to infinity or an underflow to zero). A decimal
+/// that rounds to a subnormal keeps its value and is accepted, so every
+/// decimal17 spelling reads back. It stays strtod, not a hand-written
 /// conversion, so every accepted spelling rounds as the C library rounds
 /// it and decoded values (and the replies built from them) keep their
 /// bytes.
@@ -31,6 +36,17 @@ namespace hybridic::text {
 
 /// "0" or "1".
 [[nodiscard]] bool parse_bool(std::string_view text, bool& value);
+
+/// Exactly 16 lowercase hex digits, zero-padded ("%016llx").
+[[nodiscard]] std::string hex16(std::uint64_t value);
+
+/// Shortest-safe decimal ("%.17g"): 17 significant digits, which
+/// parse_f64 reads back to the identical double.
+[[nodiscard]] std::string decimal17(double value);
+
+/// C99 hex-float ("%a"): exact, locale-free; parse_f64 reads it back to
+/// the identical bit pattern.
+[[nodiscard]] std::string hexf(double value);
 
 /// Split a line on single spaces. Empty when any field is empty (leading,
 /// doubled or trailing space) or the line is empty.

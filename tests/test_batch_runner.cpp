@@ -272,8 +272,8 @@ TEST(BatchRunner, ReportCarriesPerJobMetrics) {
 }
 
 // ---------------------------------------------------------------------------
-// Supervised batches (docs/MODEL.md §17): watchdog, retry, quarantine,
-// admission gate.
+// Supervised batches (docs/MODEL.md §17): watchdog, quarantine,
+// admission gate; one attempt per job.
 
 TEST(Supervised, OkJobsSettleWithValueAndOneAttempt) {
   sys::BatchRunner runner{2};
@@ -289,30 +289,8 @@ TEST(Supervised, OkJobsSettleWithValueAndOneAttempt) {
     EXPECT_EQ(slots[i].status, sys::JobStatus::kOk);
     ASSERT_TRUE(slots[i].value.has_value());
     EXPECT_EQ(*slots[i].value, static_cast<int>(i) * 10);
-    EXPECT_EQ(slots[i].attempts, 1U);
     EXPECT_EQ(runner.last_report().jobs[i].status, sys::JobStatus::kOk);
   }
-}
-
-TEST(Supervised, TransientFailureRetriesUntilSuccess) {
-  sys::BatchRunner runner{1};
-  auto failures_left = std::make_shared<std::atomic<int>>(2);
-  std::vector<sys::BatchRunner::Job<int>> jobs;
-  jobs.push_back({"flaky", [failures_left](sys::JobContext&) {
-                    if (failures_left->fetch_sub(1) > 0) {
-                      throw std::runtime_error("transient blip");
-                    }
-                    return 7;
-                  }});
-  sys::SuperviseOptions options;
-  options.transient_retries = 3;
-  options.backoff_initial_seconds = 0.001;
-  options.is_transient = [](const std::exception&) { return true; };
-  const auto slots = runner.run_supervised(std::move(jobs), options);
-  ASSERT_EQ(slots.size(), 1U);
-  EXPECT_EQ(slots[0].status, sys::JobStatus::kOk);
-  EXPECT_EQ(*slots[0].value, 7);
-  EXPECT_EQ(slots[0].attempts, 3U);  // Two blips + the success.
 }
 
 TEST(Supervised, NonTransientFailureIsNeverRetried) {
@@ -323,29 +301,12 @@ TEST(Supervised, NonTransientFailureIsNeverRetried) {
                     calls->fetch_add(1);
                     throw std::logic_error("deterministic bug");
                   }});
-  sys::SuperviseOptions options;
-  options.transient_retries = 5;
-  options.is_transient = [](const std::exception&) { return false; };
-  const auto slots = runner.run_supervised(std::move(jobs), options);
+  const auto slots =
+      runner.run_supervised(std::move(jobs), sys::SuperviseOptions{});
   EXPECT_EQ(slots[0].status, sys::JobStatus::kCrashed);
   EXPECT_EQ(slots[0].error, "deterministic bug");
-  EXPECT_EQ(slots[0].attempts, 1U);
-  EXPECT_EQ(calls->load(), 1);
-}
-
-TEST(Supervised, RetryBudgetExhaustionEndsInCrashed) {
-  sys::BatchRunner runner{1};
-  std::vector<sys::BatchRunner::Job<int>> jobs;
-  jobs.push_back({"always-flaky", [](sys::JobContext&) -> int {
-                    throw std::runtime_error("still flaky");
-                  }});
-  sys::SuperviseOptions options;
-  options.transient_retries = 2;
-  options.backoff_initial_seconds = 0.001;
-  options.is_transient = [](const std::exception&) { return true; };
-  const auto slots = runner.run_supervised(std::move(jobs), options);
-  EXPECT_EQ(slots[0].status, sys::JobStatus::kCrashed);
-  EXPECT_EQ(slots[0].attempts, 3U);
+  EXPECT_FALSE(slots[0].value.has_value());
+  EXPECT_EQ(calls->load(), 1);  // One attempt, never retried.
 }
 
 TEST(Supervised, WatchdogExpiryQuarantinesWithoutRetry) {
@@ -367,12 +328,9 @@ TEST(Supervised, WatchdogExpiryQuarantinesWithoutRetry) {
   jobs.push_back({"fine", [](sys::JobContext&) { return 42; }});
   sys::SuperviseOptions options;
   options.job_timeout_seconds = 0.05;
-  options.transient_retries = 3;  // Must NOT apply to timeouts.
-  options.is_transient = [](const std::exception&) { return true; };
   const auto slots = runner.run_supervised(std::move(jobs), options);
   EXPECT_EQ(slots[0].status, sys::JobStatus::kTimeout);
   EXPECT_EQ(slots[0].error, sys::watchdog_expired_message(0.05));
-  EXPECT_EQ(slots[0].attempts, 1U);
   EXPECT_EQ(attempts->load(), 1);
   EXPECT_EQ(slots[1].status, sys::JobStatus::kOk);
   EXPECT_EQ(*slots[1].value, 42);
@@ -390,13 +348,17 @@ TEST(Supervised, StopFlagSkipsNotYetStartedJobs) {
                     stop.store(true);  // Raised while the batch runs.
                     return 1;
                   }});
-  jobs.push_back({"second", [](sys::JobContext&) { return 2; }});
+  auto second_ran = std::make_shared<std::atomic<bool>>(false);
+  jobs.push_back({"second", [second_ran](sys::JobContext&) {
+                    second_ran->store(true);
+                    return 2;
+                  }});
   sys::SuperviseOptions options;
   options.stop_requested = &stop;
   const auto slots = runner.run_supervised(std::move(jobs), options);
   EXPECT_EQ(slots[0].status, sys::JobStatus::kOk);
   EXPECT_EQ(slots[1].status, sys::JobStatus::kSkipped);
-  EXPECT_EQ(slots[1].attempts, 0U);
+  EXPECT_FALSE(second_ran->load());
   EXPECT_FALSE(slots[1].value.has_value());
 }
 

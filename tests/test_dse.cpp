@@ -1,6 +1,7 @@
 // Property-based DSE engine tests: config-space sampling, the invariant
 // oracle library over generated designs, the failure shrinker, the JSON
-// reproducer round trip, and campaign determinism across thread counts.
+// reproducer round trip, campaign determinism across thread counts, and
+// shards that partition the unsharded rows.
 //
 // The MutationShrink tests drive the whole failure pipeline end to end
 // against the deliberately broken mutation oracle: fail -> shrink ->
@@ -9,10 +10,12 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <vector>
 
 #include "dse/campaign.hpp"
 #include "dse/case_runner.hpp"
 #include "dse/oracles.hpp"
+#include "dse/outcome_codec.hpp"
 #include "dse/reproducer.hpp"
 #include "dse/shrinker.hpp"
 #include "util/error.hpp"
@@ -228,6 +231,41 @@ TEST(DseCampaign, CsvCarriesOneColumnPerOracle) {
         << "missing column: " << oracle.name;
   }
   EXPECT_EQ(header.find("mutation"), std::string::npos);
+}
+
+TEST(Campaign, ShardsPartitionTheUnshardedRows) {
+  CampaignOptions options;
+  options.count = 10;
+  options.campaign_seed = 5;
+  options.space.max_kernels = 5;
+  options.tier = tiers::TierMode::kAnalytic;
+  options.max_shrinks = 0;
+  const CampaignResult whole = run_campaign(options);
+  ASSERT_EQ(whole.cases.size(), 10U);
+
+  // Every shard owns exactly its residue class, keeps global indices,
+  // and reproduces the unsharded row for each index it owns. The
+  // first-seen flags (congruent, profile_reused) are per-process and
+  // recomputed by tools/merge_shards.py, so rows compare through the
+  // journal codec, which leaves them out.
+  constexpr std::uint64_t kShards = 3;
+  std::vector<int> owners(whole.cases.size(), 0);
+  for (std::uint64_t shard = 0; shard < kShards; ++shard) {
+    CampaignOptions part = options;
+    part.shard_index = shard;
+    part.shard_count = kShards;
+    const CampaignResult result = run_campaign(part);
+    for (const CaseOutcome& row : result.cases) {
+      ASSERT_LT(row.index, whole.cases.size());
+      EXPECT_EQ(row.index % kShards, shard);
+      ++owners[row.index];
+      EXPECT_EQ(encode_outcome(row), encode_outcome(whole.cases[row.index]))
+          << "row " << row.index;
+    }
+  }
+  for (std::size_t index = 0; index < owners.size(); ++index) {
+    EXPECT_EQ(owners[index], 1) << "index " << index;
+  }
 }
 
 TEST(DseCampaign, SaveReproducersWritesReplayableFiles) {

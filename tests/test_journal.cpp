@@ -342,7 +342,7 @@ TEST(CampaignFingerprint, MovesUnderAnySpecChange) {
     c.threads = 7;
     c.resume = true;
     c.journal_path = "elsewhere.log";
-    c.transient_retries = 9;
+    c.profile_cache_max_entries = 1;
     EXPECT_EQ(dse::campaign_fingerprint(c), fp);
   }
 }

@@ -1,7 +1,7 @@
 // Multi-board stack tests: BoardNetwork routing (chain/ring/mesh, dead
 // links, reroutes), the boards=1 degenerate identity against the
 // single-board engine, a real 2-board chain run, the multi-board analytic
-// tier, store-scope non-aliasing, sampler RNG-stream preservation, the
+// tier, sampler RNG-stream preservation, the
 // reproducer board-field round trip, and campaign determinism across
 // thread counts with the board dimension swept.
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "core/multi_board_design.hpp"
 #include "dse/campaign.hpp"
 #include "dse/reproducer.hpp"
-#include "store/adapters.hpp"
 #include "sys/board_net.hpp"
 #include "sys/experiment.hpp"
 #include "sys/multi_board.hpp"
@@ -196,28 +195,6 @@ TEST(MultiBoardAnalytic, CutEdgesProduceASerializedInterBoardTerm) {
   EXPECT_GT(est.inter_board_seconds, 0.0);
   EXPECT_LE(est.designed_lower_seconds, est.designed_kernel_seconds);
   EXPECT_LE(est.designed_kernel_seconds, est.designed_upper_seconds);
-}
-
-// ---------------------------------------------------------------------------
-// Store scope: multi-board estimates never alias single-board ones.
-// ---------------------------------------------------------------------------
-
-TEST(MultiBoardStore, EstimateScopesNeverAlias) {
-  const tiers::TierCalibration calibration;
-  const std::string single =
-      store::estimate_scope(sys::PlatformConfig{}, calibration);
-  const std::string one_board =
-      store::estimate_scope(sys::MultiBoardConfig::uniform(1), calibration);
-  const std::string chain2 =
-      store::estimate_scope(sys::MultiBoardConfig::uniform(2), calibration);
-  const std::string ring2 = store::estimate_scope(
-      sys::MultiBoardConfig::uniform(2, sys::PlatformConfig{},
-                                     core::BoardTopology::kRing),
-      calibration);
-  EXPECT_NE(one_board, single);
-  EXPECT_NE(chain2, single);
-  EXPECT_NE(chain2, one_board);
-  EXPECT_NE(chain2, ring2);
 }
 
 // ---------------------------------------------------------------------------

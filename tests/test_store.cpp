@@ -1,8 +1,8 @@
 // Robustness tests for the persistent content-addressed store
 // (docs/MODEL.md §15): damaged entries must degrade to misses, never to
-// wrong data or a crash; concurrent multi-process writers must leave the
-// index readable; and a fresh process must reproduce byte-identical
-// profiles from the store.
+// wrong data or a crash; every object written by concurrent
+// multi-process writers must read back; and a fresh process must
+// reproduce byte-identical profiles from the store.
 #include "store/store.hpp"
 
 #include <gtest/gtest.h>
@@ -154,24 +154,6 @@ TEST(StoreBasics, HashCollisionDegradesToMiss) {
   EXPECT_EQ(store.get("key-a").value_or(""), "payload-a");
 }
 
-TEST(StoreBasics, IndexSkipsTornLines) {
-  Store store{store_root("index")};
-  store.put("alpha", "1");
-  store.put("beta", "2");
-  {
-    // A torn final line, as left by a writer killed mid-append.
-    std::ofstream out{fs::path{store.root()} / "index.log",
-                      std::ios::binary | std::ios::app};
-    out << "deadbeef torn garbage\n";
-    out << Store::object_name("gamma") << " 5 gam";  // No newline, short.
-  }
-  const auto index = store.read_index();
-  ASSERT_EQ(index.size(), 2U);
-  EXPECT_EQ(index[0].first, Store::object_name("alpha"));
-  EXPECT_EQ(index[0].second, "alpha");
-  EXPECT_EQ(index[1].second, "beta");
-}
-
 TEST(StoreBasics, UnusableRootThrowsStoreError) {
   EXPECT_THROW(Store{"/proc/hybridic-no-such-root/store"}, StoreError);
 }
@@ -186,7 +168,7 @@ TEST(StoreProcesses, TwoConcurrentWritersLeaveIndexReadable) {
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-      // Child: its own Store handle on the shared root, racing appends.
+      // Child: its own Store handle on the shared root, racing puts.
       Store mine{root};
       for (int i = 0; i < kKeysPerWriter; ++i) {
         mine.put(writer_key(w, i), writer_payload(w, i));
@@ -208,13 +190,6 @@ TEST(StoreProcesses, TwoConcurrentWritersLeaveIndexReadable) {
       EXPECT_EQ(reader.get(writer_key(w, i)).value_or("MISS"),
                 writer_payload(w, i));
     }
-  }
-  // Every index line must be whole: name matches the hashed key.
-  const auto index = reader.read_index();
-  EXPECT_EQ(index.size(),
-            static_cast<std::size_t>(kWriters * kKeysPerWriter));
-  for (const auto& [name, key] : index) {
-    EXPECT_EQ(name, Store::object_name(key));
   }
 }
 
@@ -331,27 +306,6 @@ TEST(StoreTiering, LruEvictionFallsBackToL2) {
       cache.synthetic_app(a);
   EXPECT_EQ(cache.l2_hits(), 1U);
   EXPECT_EQ(encode_profile(*again), encoded_a);
-}
-
-TEST(StoreTiering, EstimateAdapterScopesAndRoundTrips) {
-  const auto backing = std::make_shared<Store>(store_root("estimates"));
-  EstimateStoreL2 scoped{backing, "scope-a"};
-  tiers::TierEstimate e;
-  e.solution_tag = "crossbar";
-  e.designed_kernel_seconds = 0.125;
-  e.congruence_key = 99;
-  scoped.store(42, e);
-
-  const std::optional<tiers::TierEstimate> back = scoped.load(42);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->solution_tag, "crossbar");
-  EXPECT_EQ(bits(back->designed_kernel_seconds),
-            bits(e.designed_kernel_seconds));
-
-  // A differently configured platform (different scope) never aliases.
-  EstimateStoreL2 other{backing, "scope-b"};
-  EXPECT_FALSE(other.load(42).has_value());
-  EXPECT_FALSE(scoped.load(43).has_value());
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
-// The strict readers of util/text.hpp, table-driven, plus the hostile
-// inputs each front end must reject with its documented class, plus a
-// seeded mutation sweep (byte flips, truncations, splices) over every
-// format the tool reads back. The sweep only parses and decodes: a
+// The strict readers and number writers of util/text.hpp, table-driven,
+// plus the hostile inputs each front end must reject with its documented
+// class, plus a seeded mutation sweep (byte flips, truncations, splices)
+// over every format the tool reads back. The sweep only parses and decodes: a
 // flipped digit can ask for millions of kernels, so no mutant ever runs
 // the pipeline.
 #include "util/text.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <typeinfo>
@@ -65,7 +68,7 @@ TEST(TextNumbers, ParseF64TakesTheWholeToken) {
       {"0x1.8p+1", 3.0},
       // The exact "%a" spelling of the smallest denormal: no range error.
       {"0x0.0000000000001p-1022", 0x0.0000000000001p-1022},
-      {store::hexf(0.1), 0.1}};
+      {text::hexf(0.1), 0.1}};
   for (const auto& [input, expected] : accept) {
     double value = 0.0;
     EXPECT_TRUE(text::parse_f64(input, value)) << input;
@@ -95,6 +98,94 @@ TEST(TextFields, SplitFieldsRejectsEmptyFields) {
   EXPECT_EQ(text::split_fields("a"), (std::vector<std::string>{"a"}));
   for (const std::string input : {"", " ", " a", "a ", "a  b"}) {
     EXPECT_TRUE(text::split_fields(input).empty()) << "'" << input << "'";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Number writers: one per format, each read back by parse_f64/parse_u64.
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &value, sizeof(out));
+  return out;
+}
+
+/// Doubles at the edges of the format: signed zeros, the subnormal range,
+/// the normal limits, and values with no short decimal spelling.
+std::vector<double> edge_doubles() {
+  using limits = std::numeric_limits<double>;
+  return {0.0,           -0.0,          limits::denorm_min(),
+          -limits::denorm_min(),        limits::min() / 3.0,
+          limits::min(), limits::max(), -limits::max(),
+          0.1,           0.1 + 0.2,     1.0 / 3.0,
+          1e300,         -2.5e-7,       12345.678};
+}
+
+TEST(TextWriters, Hex16IsSixteenZeroPaddedLowercaseDigits) {
+  const std::vector<std::pair<std::uint64_t, std::string>> known = {
+      {0, "0000000000000000"},
+      {1, "0000000000000001"},
+      {0xdeadbeefULL, "00000000deadbeef"},
+      {0x0123456789abcdefULL, "0123456789abcdef"},
+      {UINT64_MAX, "ffffffffffffffff"}};
+  for (const auto& [value, expected] : known) {
+    EXPECT_EQ(text::hex16(value), expected);
+  }
+}
+
+TEST(TextWriters, Decimal17KnownAnswersAndRoundTrip) {
+  const std::vector<std::pair<double, std::string>> known = {
+      {0.0, "0"},
+      {-0.0, "-0"},
+      {1.0, "1"},
+      {0.5, "0.5"},
+      {0.1, "0.10000000000000001"},
+      {0.1 + 0.2, "0.30000000000000004"},
+      {std::numeric_limits<double>::denorm_min(), "4.9406564584124654e-324"},
+      {std::numeric_limits<double>::max(), "1.7976931348623157e+308"}};
+  for (const auto& [value, expected] : known) {
+    EXPECT_EQ(text::decimal17(value), expected);
+  }
+  // The spelling the CSV, reproducer and serve writers always used: an
+  // ostream at precision 17.
+  Rng rng{17};
+  std::vector<double> values = edge_doubles();
+  for (int i = 0; i < 2000; ++i) {
+    double value = 0.0;
+    const std::uint64_t pattern = rng.next();
+    std::memcpy(&value, &pattern, sizeof(value));
+    if (std::isfinite(value)) {
+      values.push_back(value);
+    }
+  }
+  for (const double value : values) {
+    std::ostringstream stream;
+    stream.precision(17);
+    stream << value;
+    const std::string written = text::decimal17(value);
+    EXPECT_EQ(written, stream.str());
+    double back = 1.0;
+    ASSERT_TRUE(text::parse_f64(written, back)) << written;
+    EXPECT_EQ(bits_of(back), bits_of(value)) << written;
+  }
+}
+
+TEST(TextWriters, HexfKnownAnswersAndRoundTrip) {
+  const std::vector<std::pair<double, std::string>> known = {
+      {0.0, "0x0p+0"},
+      {-0.0, "-0x0p+0"},
+      {1.0, "0x1p+0"},
+      {3.0, "0x1.8p+1"},
+      {0.1, "0x1.999999999999ap-4"},
+      {std::numeric_limits<double>::denorm_min(), "0x0.0000000000001p-1022"},
+      {std::numeric_limits<double>::max(), "0x1.fffffffffffffp+1023"}};
+  for (const auto& [value, expected] : known) {
+    EXPECT_EQ(text::hexf(value), expected);
+  }
+  for (const double value : edge_doubles()) {
+    double back = 1.0;
+    ASSERT_TRUE(text::parse_f64(text::hexf(value), back)) << value;
+    EXPECT_EQ(bits_of(back), bits_of(value)) << text::hexf(value);
   }
 }
 

@@ -103,7 +103,7 @@ TEST(SelectEscalations, PrunesBandsAboveTheBestUpperBound) {
   const std::vector<const TierEstimate*> estimates{&winner, &contender,
                                                    &pruned};
   const std::vector<bool> demands(3, false);
-  const auto reasons = select_escalations(estimates, demands);
+  const auto reasons = select_escalations(estimates, demands).reasons;
   EXPECT_EQ(reasons[0], EscalationReason::kRankOverlap);
   EXPECT_EQ(reasons[1], EscalationReason::kRankOverlap);
   EXPECT_EQ(reasons[2], EscalationReason::kNone);
@@ -114,7 +114,7 @@ TEST(SelectEscalations, OracleDemandTrumpsRanking) {
   const TierEstimate pruned = band(3.0, 9.0);
   const std::vector<const TierEstimate*> estimates{&winner, &pruned};
   const std::vector<bool> demands{false, true};
-  const auto reasons = select_escalations(estimates, demands);
+  const auto reasons = select_escalations(estimates, demands).reasons;
   EXPECT_EQ(reasons[0], EscalationReason::kRankOverlap);
   EXPECT_EQ(reasons[1], EscalationReason::kOracle);
 }
@@ -125,17 +125,19 @@ TEST(SelectEscalations, CapKeepsTheLowestLowerBounds) {
   const TierEstimate c = band(0.9, 10.0);
   const std::vector<const TierEstimate*> estimates{&a, &b, &c};
   const std::vector<bool> demands(3, false);
-  const auto reasons = select_escalations(estimates, demands, 2);
-  EXPECT_EQ(reasons[0], EscalationReason::kRankOverlap);
-  EXPECT_EQ(reasons[1], EscalationReason::kRankOverlap);
-  EXPECT_EQ(reasons[2], EscalationReason::kNone);  // Capped out.
+  const EscalationPlan plan = select_escalations(estimates, demands, 2);
+  EXPECT_EQ(plan.reasons[0], EscalationReason::kRankOverlap);
+  EXPECT_EQ(plan.reasons[1], EscalationReason::kRankOverlap);
+  EXPECT_EQ(plan.reasons[2], EscalationReason::kNone);  // Capped out.
+  // The report counts every contender the cap had to choose among.
+  EXPECT_EQ(plan.rank_contenders, 3U);
 }
 
 TEST(SelectEscalations, NullEstimatesNeverEscalateByRank) {
   const TierEstimate winner = band(1.0, 2.0);
   const std::vector<const TierEstimate*> estimates{&winner, nullptr};
   const auto reasons =
-      select_escalations(estimates, std::vector<bool>(2, false));
+      select_escalations(estimates, std::vector<bool>(2, false)).reasons;
   EXPECT_EQ(reasons[0], EscalationReason::kRankOverlap);
   EXPECT_EQ(reasons[1], EscalationReason::kNone);
 }
